@@ -9,7 +9,6 @@ scale-free and matches the conditioned-process drift.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +17,15 @@ import scipy.sparse as sp
 from ._util import ordered_map, write_csv
 from .eigen import EigenPair, principal_eigenpair
 from .errors import NoConvergence, TooLarge
-from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient, drift_under_policy
-from .problems import PolicySpec
+from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient
 
 ENUMERATION_CAP = 2**20
+ENUMERATION_CHUNK = 4096
+# Dense eigenvalues of the enumerated generators (n <= 20 nodes once k >= 2)
+# are accurate to a few ulps of the matrix norm, which is at most a few
+# hundred times lambda; this relative gap is well above that and is the
+# enumeration's tie tolerance.
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -134,27 +138,69 @@ def policy_iteration(
     raise NoConvergence(f"policy iteration did not converge in {max_sweeps} sweeps")
 
 
+def _policies(first: int, stop: int, k: int, n: int) -> np.ndarray:
+    """Policies first..stop-1 of itertools.product(range(k), repeat=n), one per row."""
+    place = k ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return np.arange(first, stop, dtype=np.int64)[:, None] // place % k
+
+
+def _dense_scores(grid: Grid, problem) -> np.ndarray:
+    """Dense-eigensolve lambda of every policy on the grid, in product order.
+
+    Row i of a policy's generator is row i of the constant-action generator
+    of the action at node i, so each policy's dense generator is gathered
+    from the k constant-action generators, assembled once.  Policies are
+    scored ENUMERATION_CHUNK at a time by one batched eigensolve per chunk;
+    chunk results are concatenated in order, so the worker count cannot
+    change them.
+    """
+    n, k = grid.n, problem.n_actions
+    count = k**n
+    tables = np.stack([assemble_generator(grid, problem, a).matrix.toarray() for a in range(k)])
+    rows = np.arange(n)
+
+    def score(first: int) -> np.ndarray:
+        stack = tables[_policies(first, min(first + ENUMERATION_CHUNK, count), k, n), rows]
+        return -np.linalg.eigvals(stack).real.max(axis=1)
+
+    return np.concatenate(ordered_map(score, range(0, count, ENUMERATION_CHUNK)))
+
+
 def enumerate_policies(problem, h: float, tol: float = 1e-10) -> tuple[float, np.ndarray, int]:
     """Exhaustive oracle: the minimal eigenvalue over every policy.
 
-    Returns (best lambda, best policy, number of policies).  Reduction is
-    deterministic: minimum by value, then lexicographic policy.
+    Every policy is scored by a dense eigensolve (see _dense_scores).  Scores
+    within TIE_RTOL * max(1, |lambda_min|) of the minimum count as tied, and
+    the lexicographically smallest tied policy wins, so mirror-symmetric
+    problems return a stable representative.  Only the winner is solved again
+    by inverse iteration to `tol`, and that eigenvalue is returned.
+
+    Returns (best lambda, best policy, number of policies).
     """
     grid = build_grid(problem, h)
     n, k = grid.n, problem.n_actions
     count = k**n
     if count > ENUMERATION_CAP:
         raise TooLarge(f"{k}^{n} = {count} policies exceed the enumeration cap {ENUMERATION_CAP}")
+    if count == 1:
+        # Nothing to rank.  With one action n is unbounded, so the dense
+        # n x n tables could not be afforded on a fine mesh.
+        policy = np.zeros(n, dtype=int)
+        return principal_eigenpair(assemble_generator(grid, problem, policy), tol=tol).lam, policy, count
 
-    policies = list(itertools.product(range(k), repeat=n))
-
-    def eval_one(assign: tuple[int, ...]) -> float:
-        gen = assemble_generator(grid, problem, np.array(assign, dtype=int))
-        return principal_eigenpair(gen, tol=tol).lam
-
-    lams = ordered_map(eval_one, policies)
-    best_lam, best_policy = min(zip(lams, policies))
-    return float(best_lam), np.array(best_policy, dtype=int), count
+    lams = _dense_scores(grid, problem)
+    lam_min = float(lams.min())
+    best = int(np.argmax(lams <= lam_min + TIE_RTOL * max(1.0, abs(lam_min))))
+    policy = _policies(best, best + 1, k, n)[0]
+    lam = principal_eigenpair(assemble_generator(grid, problem, policy), tol=tol).lam
+    # Inverse iteration brackets lambda to within 5 * tol and the dense value
+    # is good to TIE_RTOL relative; a wider gap means one of them is wrong.
+    if abs(lam - lams[best]) > 10.0 * tol + TIE_RTOL * max(1.0, abs(lam)):
+        raise NoConvergence(
+            f"enumeration winner {policy.tolist()}: dense eigenvalue {float(lams[best])!r} "
+            f"disagrees with inverse iteration {lam!r}"
+        )
+    return lam, policy, count
 
 
 def hjb_residual(problem, h: float, mode: str = "MAX", tol: float = 1e-10, margin_frac: float = 0.125) -> float:
@@ -187,12 +233,3 @@ def export_trace_csv(trace: PolicyIterationTrace, path: str) -> None:
         for i, s in enumerate(trace.steps)
     )
     write_csv(path, ["iteration", "lambda", "lambda_lo", "lambda_hi", "policy_changes"], rows)
-
-
-def as_policy_spec(values: np.ndarray) -> PolicySpec:
-    return PolicySpec.from_array(values)
-
-
-def drift_field(grid: Grid, problem, policy) -> np.ndarray:
-    """Node drift under a policy; thin re-export used by downstream modules."""
-    return drift_under_policy(grid, problem, policy)

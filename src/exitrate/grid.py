@@ -66,7 +66,7 @@ class Grid:
         multi = []
         for k in range(self.d):
             i = np.rint((pts[:, k] - self.lo[k]) / self.h).astype(int) - 1
-            multi.append(np.clip(i, 0, self.dims[k] - 1))
+            multi.append(np.minimum(np.maximum(i, 0), self.dims[k] - 1))
         return np.ravel_multi_index(tuple(multi), self.dims)
 
 

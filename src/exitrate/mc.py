@@ -101,16 +101,24 @@ def simulate_killed(
         for k in range(n_steps):
             if not len(alive):
                 break
+            # x + m * dt + s * z * sq, in place but in that order, so the
+            # bits match the out-of-place expression.  Drift and sigma
+            # return fresh arrays, and x is this shard's own copy.
             m = _policy_drift(problem, policy, grid, x)
             s = problem.sigma(x)
-            x = x + m * dt + s * rng.standard_normal(x.shape) * sq
+            m *= dt
+            x += m
+            s *= rng.standard_normal(x.shape)
+            s *= sq
+            x += s
             out = np.any((x <= lo) | (x >= hi), axis=1)
             if out.any():
-                gone = alive[out]
+                rows = np.flatnonzero(out)
+                gone = alive[rows]
                 exit_times[gone] = (k + 1) * dt
                 censored[gone] = False
-                terminal[gone] = x[out]
-                keep = ~out
+                terminal[gone] = x[rows]
+                keep = np.flatnonzero(~out)
                 x = x[keep]
                 alive = alive[keep]
         terminal[alive] = x
@@ -211,9 +219,9 @@ def interpolate_field(grid: Grid, field: np.ndarray, points: np.ndarray) -> np.n
             base[:, k] = 0
             frac[:, k] = 0.0
         else:
-            cell = np.clip(np.floor(t), 0, dims[k] - 2)
+            cell = np.minimum(np.maximum(np.floor(t), 0), dims[k] - 2)
             base[:, k] = cell.astype(np.int64)
-            frac[:, k] = np.clip(t - cell, 0.0, 1.0)
+            frac[:, k] = np.minimum(np.maximum(t - cell, 0.0), 1.0)
     out = np.zeros((len(points), field.shape[1]))
     for corner in product((0, 1), repeat=d):
         idx = [np.minimum(base[:, k] + corner[k], dims[k] - 1) for k in range(d)]

@@ -27,6 +27,15 @@ def _compiled(source: str) -> Expression:
     return parse_expression(source)
 
 
+def _evaluate(exprs: tuple[str, ...], points: np.ndarray) -> np.ndarray:
+    """One column per expression, as a new (n, len(exprs)) array."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.empty((pts.shape[0], len(exprs)))
+    for j, e in enumerate(exprs):
+        out[:, j] = _compiled(e)(pts)
+    return out
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Continuous model: box domain, finite actions, drift and diffusion fields.
@@ -78,15 +87,11 @@ class ProblemSpec:
 
     def drift(self, points: np.ndarray, action: int) -> np.ndarray:
         """Drift vectors m(x, u_action) at points of shape (n, d)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = [_compiled(e)(pts) for e in self.drift_exprs[action]]
-        return np.column_stack(cols)
+        return _evaluate(self.drift_exprs[action], points)
 
     def sigma(self, points: np.ndarray) -> np.ndarray:
         """Diagonal entries of sigma(x) at points of shape (n, d)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = [_compiled(e)(pts) for e in self.sigma_exprs]
-        return np.column_stack(cols)
+        return _evaluate(self.sigma_exprs, points)
 
 
 @dataclass(frozen=True)

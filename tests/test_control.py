@@ -1,9 +1,14 @@
 """Policy improvement and iteration against the exhaustive oracle."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from exitrate import control
 from exitrate.control import (
+    _dense_scores,
     enumerate_policies,
     export_trace_csv,
     hjb_residual,
@@ -11,7 +16,7 @@ from exitrate.control import (
     policy_iteration,
 )
 from exitrate.eigen import principal_eigenpair
-from exitrate.errors import TooLarge
+from exitrate.errors import NoConvergence, TooLarge
 from exitrate.grid import assemble_generator, build_grid
 
 
@@ -75,6 +80,9 @@ def test_single_action_problem_converges_immediately(bm_interval):
         assemble_generator(build_grid(bm_interval, 1 / 16), bm_interval, 0)
     )
     assert abs(trace.lam - direct.lam) < 1e-12
+    lam, policy, count = enumerate_policies(bm_interval, 1 / 16)
+    assert (lam, count) == (direct.lam, 1)
+    np.testing.assert_array_equal(policy, 0)
 
 
 def test_constant_potential_shifts_the_value(bm_interval):
@@ -90,9 +98,68 @@ def test_optimality_defect_shrinks_with_the_mesh(bang_bang):
     assert fine < coarse
 
 
-def test_enumeration_is_capped(bang_bang):
+def test_enumeration_is_capped(bang_bang, rect_2d, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    # The cap is checked before any generator table or policy is built.
+    monkeypatch.setattr(control, "assemble_generator", forbidden)
+    monkeypatch.setattr(control, "ordered_map", forbidden)
     with pytest.raises(TooLarge):
         enumerate_policies(bang_bang, 1 / 32)
+    with pytest.raises(TooLarge):
+        enumerate_policies(rect_2d, 1 / 64)
+
+
+@pytest.mark.parametrize("name, h", [("bang_bang", 1 / 4), ("rect_2d", 1 / 3)])
+def test_dense_scores_match_inverse_iteration_for_every_policy(name, h, request):
+    problem = request.getfixturevalue(name)
+    grid = build_grid(problem, h)
+    scores = _dense_scores(grid, problem)
+    policies = list(itertools.product(range(problem.n_actions), repeat=grid.n))
+    assert len(scores) == len(policies)
+    for score, policy in zip(scores, policies):
+        gen = assemble_generator(grid, problem, np.array(policy))
+        assert abs(score - principal_eigenpair(gen).lam) <= 1e-10
+
+
+def test_enumeration_is_worker_count_invariant_across_chunks(rect_2d, monkeypatch):
+    outs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("EXITRATE_THREADS", workers)
+        lam, policy, count = enumerate_policies(rect_2d, 1 / 4)
+        outs.append((np.float64(lam).tobytes(), policy.tobytes(), count))
+    assert outs[0][2] == 3**9 > control.ENUMERATION_CHUNK
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "name, h, expected",
+    [
+        # The middle node is the centre: [1, 0, 0] ties with its mirror [1, 1, 0].
+        ("bang_bang", 1 / 2, [1, 0, 0]),
+        # No action on the middle column x1 = 1/2 changes lambda: 27 policies tie.
+        ("rect_2d", 1 / 4, [2, 2, 2, 0, 0, 0, 0, 0, 0]),
+    ],
+)
+def test_near_ties_resolve_to_the_lexicographically_smallest_policy(name, h, expected, request):
+    problem = request.getfixturevalue(name)
+    scores = _dense_scores(build_grid(problem, h), problem)
+    lam, policy, _ = enumerate_policies(problem, h)
+    np.testing.assert_array_equal(policy, expected)
+    assert abs(lam - scores.min()) <= 1e-10
+
+
+def test_enumeration_rejects_a_winner_the_solvers_disagree_on(bang_bang, monkeypatch):
+    real = control.principal_eigenpair
+
+    def shifted(gen, tol):
+        pair = real(gen, tol=tol)
+        return dataclasses.replace(pair, lam=pair.lam + 1e-6)
+
+    monkeypatch.setattr(control, "principal_eigenpair", shifted)
+    with pytest.raises(NoConvergence, match="dense eigenvalue .* inverse iteration"):
+        enumerate_policies(bang_bang, 1 / 4)
 
 
 def test_trace_csv_export(tmp_path, bang_bang):

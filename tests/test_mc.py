@@ -96,7 +96,8 @@ def test_killed_paths_estimate_the_spectral_rate(bm_interval):
 
 
 def test_finer_steps_reduce_the_exit_bias(bm_interval):
-    # The first-exit rule overshoots the rate by O(sqrt(dt)).
+    # The first-exit rule misses crossings between steps, so it
+    # under-estimates the rate by O(sqrt(dt)).
     lam = np.pi ** 2 / 2
     errs, ses = [], []
     for dt in (1e-3, 2.5e-4):

@@ -1,0 +1,43 @@
+"""Every function the benchmark tracer wraps must still exist under its name.
+
+perfbench/tracer.py wraps layer functions by (module, attribute) and raises
+on a missing one, but only inside the slow traced benchmark run.  These checks
+catch a rename in well under a second.
+"""
+
+import importlib
+import importlib.util
+import os
+
+import pytest
+
+from exitrate import _util
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("home, attr", [(t[0], t[1]) for t in tracer.TARGETS])
+def test_trace_target_resolves(home, attr):
+    module = importlib.import_module(home)
+    if "." in attr:
+        # Methods are wrapped on the class that defines them.
+        cls_name, meth = attr.split(".")
+        target = vars(getattr(module, cls_name))[meth]
+    else:
+        target = getattr(module, attr)
+    assert callable(target)
+
+
+@pytest.mark.parametrize("site", sorted(tracer.MAP_SITES))
+def test_map_site_calls_the_shared_ordered_map(site):
+    assert importlib.import_module(site).ordered_map is _util.ordered_map
