@@ -192,15 +192,18 @@ def enumerate_policies(problem, h: float, tol: float = 1e-10) -> tuple[float, np
     lam_min = float(lams.min())
     best = int(np.argmax(lams <= lam_min + TIE_RTOL * max(1.0, abs(lam_min))))
     policy = _policies(best, best + 1, k, n)[0]
-    lam = principal_eigenpair(assemble_generator(grid, problem, policy), tol=tol).lam
-    # Inverse iteration brackets lambda to within 5 * tol and the dense value
-    # is good to TIE_RTOL relative; a wider gap means one of them is wrong.
-    if abs(lam - lams[best]) > 10.0 * tol + TIE_RTOL * max(1.0, abs(lam)):
+    pair = principal_eigenpair(assemble_generator(grid, problem, policy), tol=tol)
+    # The CW bracket contains the winner's eigenvalue and the dense value is
+    # good to TIE_RTOL relative, so the dense value must lie in the bracket
+    # widened by that much; outside it, one of the two solvers is wrong.
+    lo, hi = pair.cw_interval
+    slack = TIE_RTOL * max(1.0, abs(pair.lam))
+    if not lo - slack <= lams[best] <= hi + slack:
         raise NoConvergence(
             f"enumeration winner {policy.tolist()}: dense eigenvalue {float(lams[best])!r} "
-            f"disagrees with inverse iteration {lam!r}"
+            f"disagrees with inverse iteration {pair.lam!r} (CW bracket [{lo!r}, {hi!r}])"
         )
-    return lam, policy, count
+    return pair.lam, policy, count
 
 
 def hjb_residual(problem, h: float, mode: str = "MAX", tol: float = 1e-10, margin_frac: float = 0.125) -> float:

@@ -5,8 +5,15 @@ part; its right and left eigenvectors are strictly positive on an irreducible
 pattern.  We run shifted inverse power iteration on (sI - G).  The default
 shift s = 0 is valid because a killed irreducible generator is nonsingular
 (-G is an irreducible M-matrix), and it contracts at the h-independent ratio
-lambda/lambda_2; if the residual stalls, the shift is retargeted near the
+lambda/lambda_2; if the iteration runs long, the shift is retargeted near the
 current Collatz-Wielandt estimate.
+
+The iteration stops on the Collatz-Wielandt bracket relative to lambda,
+hi - lo <= tol * max(1, |lambda|): the bracket is rigorous for the current
+vector and, unlike an absolute residual, does not grow with the generator's
+h^-2 entries.  The bracket cannot shrink below its own roundoff floor (about
+eps * |G|_inf), so an iteration whose bracket has not halved in STALL_STEPS
+steps raises NoConvergence at once instead of spinning to max_iter.
 """
 
 from __future__ import annotations
@@ -20,6 +27,12 @@ from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, NonPositiveEigenvector
 from .grid import Generator
+
+# Steps the CW bracket may go without halving before inverse iteration gives
+# up.  Larger than RETARGET_STEPS, so a stall is declared only after
+# retargeted shifts have had their turn.
+STALL_STEPS = 120
+RETARGET_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -55,19 +68,16 @@ def cw_bounds(g: Generator | sp.spmatrix, psi: np.ndarray) -> tuple[float, float
     return float(ratios.min()), float(ratios.max())
 
 
-def _check_irreducible(mat: sp.csr_matrix) -> None:
-    # Copy index arrays: setdiag/eliminate_zeros mutate them in place.
-    pattern = sp.csr_matrix(
-        (np.ones_like(mat.data), mat.indices.copy(), mat.indptr.copy()), shape=mat.shape
-    )
-    pattern.setdiag(0)
-    pattern.eliminate_zeros()
+def check_irreducible(mat: sp.csr_matrix, error: type[Exception], what: str) -> None:
+    """Raise error unless the off-diagonal pattern of mat is strongly connected.
+
+    Every stored entry counts as an edge; self-loops do not change the
+    strongly connected components, so the diagonal needs no special case.
+    """
+    pattern = sp.csr_matrix((np.ones_like(mat.data), mat.indices, mat.indptr), shape=mat.shape)
     n_comp = connected_components(pattern, directed=True, connection="strong", return_labels=False)
     if n_comp != 1:
-        raise NonPositiveEigenvector(
-            f"generator pattern has {n_comp} strongly connected components; "
-            "the principal eigenvector is not positive"
-        )
+        raise error(f"{what} has {n_comp} strongly connected components")
 
 
 def principal_eigenpair(
@@ -80,7 +90,7 @@ def principal_eigenpair(
         lam = float(-mat[0, 0])
         one = np.ones(1)
         return EigenPair(lam, one, one.copy(), 0.0, 0.0, (lam, lam), 0)
-    _check_irreducible(mat)
+    check_irreducible(mat, NonPositiveEigenvector, "generator pattern")
 
     csc = mat.tocsc()
     ident = sp.identity(n, format="csc")
@@ -109,8 +119,9 @@ def principal_eigenpair(
     def iterate(transpose: bool, start: np.ndarray) -> tuple[np.ndarray, float, tuple[float, float], int]:
         nonlocal lu
         v = start / np.abs(start).max()
-        it = 0
-        lo = hi = float("nan")
+        it, lo, hi = 0, float("nan"), float("nan")
+        ref_width, ref_it = float("inf"), 0
+        reason = f"max_iter={max_iter} reached"
         while it < max_iter:
             y = solve_step(v, transpose)
             it += 1
@@ -124,18 +135,24 @@ def principal_eigenpair(
             ratios = -r / v
             lo, hi = float(ratios.min()), float(ratios.max())
             lam_est = 0.5 * (lo + hi)
-            resid = float(np.abs(r + lam_est * v).max())
-            if resid <= tol and (hi - lo) <= 10.0 * tol:
+            if hi - lo <= tol * max(1.0, abs(lam_est)):
                 return v, lam_est, (lo, hi), it
-            if it % 40 == 0 and np.isfinite(hi):
-                # Stalling: retarget the shift just below -lambda_hi.
+            if hi - lo <= 0.5 * ref_width:
+                ref_width, ref_it = hi - lo, it
+            elif it - ref_it >= STALL_STEPS:
+                reason = f"CW bracket has not halved in {STALL_STEPS} steps"
+                break
+            if it % RETARGET_STEPS == 0:
+                # Slow contraction: retarget the shift just below -lambda_hi.
                 try:
                     lu = factor(-(hi + max(1e-8, hi - lo)))
                 except RuntimeError:
                     lu = safe_lu
+        resid = float(np.abs(r + lam_est * v).max()) if it else float("nan")
         raise NoConvergence(
-            f"inverse iteration did not reach tol={tol} in {max_iter} steps "
-            f"(last interval [{lo}, {hi}])"
+            f"{'left' if transpose else 'right'} inverse iteration stopped after {it} iterations ({reason}): "
+            f"CW bracket [{lo!r}, {hi!r}] of width {hi - lo:.3e} > tol*max(1,|lambda|) "
+            f"with tol={tol}; residual max|Gv + lambda v| = {resid:.3e}"
         )
 
     psi, lam, interval, it_r = iterate(False, np.ones(n))

@@ -14,11 +14,10 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .control import policy_iteration
-from .eigen import EigenPair, principal_eigenpair
+from .eigen import EigenPair, check_irreducible, principal_eigenpair
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
 from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient, drift_under_policy
 from .problems import with_bounds
@@ -63,74 +62,71 @@ def doob_transform(gen: Generator | sp.spmatrix, pair: EigenPair, max_ratio: flo
     )
 
 
+def null_vector(mat: sp.spmatrix | np.ndarray, pin: int) -> np.ndarray:
+    """Probability vector mu with mu^T mat = 0, by one sparse solve.
+
+    The n equations mat^T mu = 0 have rank n - 1 when the null space is one
+    line, so equation `pin` is dropped for the unit row mu[pin] = 1 and the
+    solution is scaled to unit sum afterwards.  Pin the node where mu is
+    expected to be largest: the pinned unknown then sets the scale, every
+    other entry is at most about 1, and the system keeps the sparsity and
+    the row scaling of mat instead of carrying a dense row of ones.
+
+    Raises NullVectorNotUnique if the solve is singular or the solution has
+    an entry below -1e-10 times its largest.
+    """
+    n = mat.shape[0]
+    if n == 1:
+        return np.ones(1)
+    # Equation pin of mat^T mu = 0 is column pin of mat: drop it, transpose
+    # by swapping the coordinates, and add the unit entry.
+    c = sp.coo_matrix(mat)
+    keep = c.col != pin
+    system = sp.csr_matrix(
+        (np.append(c.data[keep], 1.0), (np.append(c.col[keep], pin), np.append(c.row[keep], pin))),
+        shape=(n, n),
+    )
+    rhs = np.zeros(n)
+    rhs[pin] = 1.0
+    mu = spsolve(system, rhs)
+    if not np.all(np.isfinite(mu)):
+        raise NullVectorNotUnique("singular system while solving for the invariant vector")
+    if mu.min() < -1e-10 * np.abs(mu).max():
+        raise NullVectorNotUnique("invariant vector is not nonnegative")
+    mu = np.maximum(mu, 0.0)
+    return mu / mu.sum()
+
+
 def stationary_measures(
     gen: Generator | sp.spmatrix, model: QProcessModel, pair: EigenPair
 ) -> tuple[np.ndarray, np.ndarray]:
     """Invariant law of the transformed chain and the quasi-stationary law.
 
-    alpha is the left principal eigenvector (already a probability vector);
-    mu_tilde solves mu^T G~ = 0 and must equal Psi * alpha / <Psi, alpha>
-    exactly; the 1-norm gap between the two computations is recorded on the
+    alpha is the left null vector of G + lam*I and mu_tilde the invariant law
+    of G~; mu_tilde must equal Psi * alpha / <Psi, alpha>.  The two come from
+    independent solves, and the 1-norm gap between them is recorded on the
     model as product_residual.
+
+    Both solves pin the same node, the maximum of Psi * phi.  Equation j of
+    G~^T mu = 0 is Psi_j times equation j of (G + lam I)^T (mu / Psi) = 0, so
+    with the same equation replaced the two solutions agree up to roundoff
+    for any lam: the gap measures the conjugation, not the eigen error that
+    separate pins would expose.
     """
-    g_tilde = model.g_tilde
-    n = g_tilde.shape[0]
-    # Copy index arrays: setdiag/eliminate_zeros mutate them in place.
-    pattern = sp.csr_matrix(
-        (np.ones_like(g_tilde.data), g_tilde.indices.copy(), g_tilde.indptr.copy()),
-        shape=g_tilde.shape,
-    )
-    pattern.setdiag(0)
-    pattern.eliminate_zeros()
-    n_comp = connected_components(pattern, directed=True, connection="strong", return_labels=False)
-    if n_comp != 1:
-        raise NullVectorNotUnique(f"transformed chain splits into {n_comp} components")
-
-    if n == 1:
-        mu = np.ones(1)
-    else:
-        # Null solve with the normalization replacing the first (redundant) row.
-        a = g_tilde.T.tolil()
-        a[0, :] = 1.0
-        b = np.zeros(n)
-        b[0] = 1.0
-        mu = spsolve(a.tocsc(), b)
-        if not np.all(np.isfinite(mu)):
-            raise NullVectorNotUnique("singular system while solving for the invariant vector")
-        if mu.min() < -1e-10 * abs(mu).max():
-            raise NullVectorNotUnique("invariant vector is not nonnegative")
-        mu = np.maximum(mu, 0.0)
-        mu = mu / mu.sum()
-
-    alpha = _refine_alpha(gen, model, pair)
+    check_irreducible(model.g_tilde, NullVectorNotUnique, "transformed chain")
+    pin = int(np.argmax(pair.psi * pair.phi))
+    mu = null_vector(model.g_tilde, pin)
+    mat = gen.matrix if isinstance(gen, Generator) else sp.csr_matrix(gen)
+    try:
+        alpha = null_vector(mat + pair.lam * sp.identity(mat.shape[0], format="csr"), pin)
+    except NullVectorNotUnique:
+        alpha = pair.phi
     product = model.psi * alpha
     product = product / product.sum()
     model.mu_tilde = mu
     model.alpha = alpha
     model.product_residual = float(np.abs(mu - product).sum())
     return mu, alpha
-
-
-def _refine_alpha(gen: Generator | sp.spmatrix, model: QProcessModel, pair: EigenPair) -> np.ndarray:
-    """Left null vector of G + lam*I at the computed lam, by direct solve.
-
-    Solving at the same lam as the transform removes the eigen-iteration
-    error common to both measures, so the recorded product gap reflects
-    only the conjugation roundoff.
-    """
-    mat = gen.matrix if isinstance(gen, Generator) else sp.csr_matrix(gen)
-    n = mat.shape[0]
-    if n == 1:
-        return np.ones(1)
-    a = (mat + pair.lam * sp.identity(n, format="csr")).T.tolil()
-    a[0, :] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
-    alpha = spsolve(a.tocsc(), b)
-    if not np.all(np.isfinite(alpha)) or alpha.min() < -1e-10 * np.abs(alpha).max():
-        return pair.phi
-    alpha = np.maximum(alpha, 0.0)
-    return alpha / alpha.sum()
 
 
 def qprocess_drift(problem, grid: Grid, psi_log: np.ndarray, policy) -> np.ndarray:
@@ -406,21 +402,6 @@ def _reflected_generator(
     ).tocsr()
 
 
-def _invariant_of(mat: sp.csr_matrix) -> np.ndarray:
-    n = mat.shape[0]
-    if n == 1:
-        return np.ones(1)
-    a = mat.T.tolil()
-    a[0, :] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
-    mu = spsolve(a.tocsc(), b)
-    if not np.all(np.isfinite(mu)) or mu.min() < -1e-9 * abs(mu).max():
-        raise NullVectorNotUnique("reflected chain has no unique positive invariant vector")
-    mu = np.maximum(mu, 0.0)
-    return mu / mu.sum()
-
-
 def verify_uniform_ergodicity(
     problem,
     h: float,
@@ -452,6 +433,9 @@ def verify_uniform_ergodicity(
     if not np.any(sub_mask):
         raise NoCertificate("no nodes at distance > 2h; grid too coarse")
     sub_idx = np.flatnonzero(sub_mask)
+    # The conditioned drift a grad(log psi_*) points toward the maximum of
+    # psi_*, so the reflected chains' invariant laws are pinned there.
+    pin = int(np.argmax(psi_log[sub_idx]))
     quad = 0.5 * np.sum((sig * g_hat) ** 2, axis=1)
 
     def y_generator(action_or_policy) -> sp.csr_matrix:
@@ -508,7 +492,7 @@ def verify_uniform_ergodicity(
     slack_scale = certificate["C"] * h
     for _ in range(int(n_policies)):
         v = rng.integers(0, problem.n_actions, size=grid.n)
-        mu_breve = _invariant_of(y_generator(v))
+        mu_breve = null_vector(y_generator(v), pin)
         rhs = float(np.sum(quad[sub_idx] * mu_breve))
         slack_needed = max(0.0, rhs - lam_star_min)
         per_policy.append(

@@ -25,6 +25,7 @@ import numpy as np
 from .control import PolicyIterationTrace
 from .errors import TooLarge
 from .grid import Generator, Grid, assemble_generator, discrete_gradient
+from .qprocess import null_vector
 from .simplex import SimplexResult, solve_standard_lp
 from ._util import write_csv
 
@@ -341,13 +342,9 @@ def transform_point(lp: OccupationLP, candidate: int, policy: np.ndarray) -> Tra
     for x, j in enumerate(picks):
         var = lp.variables[j]
         q[x, var.row_cols] = var.row_vals
-    m = q.T.copy()
-    m[0, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[0] = 1.0
-    mu = np.linalg.solve(m, rhs)
-    mu = np.clip(mu, 0.0, None)
-    mu /= mu.sum()
+    # The matched tilt reproduces a conditioned chain, whose law peaks near
+    # the maximum of the candidate's eigenfunction: pin the null solve there.
+    mu = null_vector(q, int(np.argmax(lp.candidates[candidate].psi_log)))
 
     pi = np.zeros(lp.n_variables)
     pi[picks] = mu

@@ -154,8 +154,11 @@ def test_enumeration_rejects_a_winner_the_solvers_disagree_on(bang_bang, monkeyp
     real = control.principal_eigenpair
 
     def shifted(gen, tol):
+        # A wrong answer that is consistent with itself: eigenvalue and
+        # bracket move together.
         pair = real(gen, tol=tol)
-        return dataclasses.replace(pair, lam=pair.lam + 1e-6)
+        lo, hi = pair.cw_interval
+        return dataclasses.replace(pair, lam=pair.lam + 1e-6, cw_interval=(lo + 1e-6, hi + 1e-6))
 
     monkeypatch.setattr(control, "principal_eigenpair", shifted)
     with pytest.raises(NoConvergence, match="dense eigenvalue .* inverse iteration"):

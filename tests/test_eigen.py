@@ -1,5 +1,7 @@
 """Principal eigenpair solver against dense and closed-form oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from exitrate.eigen import cw_bounds, principal_eigenpair
-from exitrate.errors import NonPositiveEigenvector
+from exitrate.errors import NoConvergence, NonPositiveEigenvector
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import problem_by_name, with_bounds
 
@@ -133,3 +135,44 @@ def test_single_node_shortcut():
     assert pair.lam == 3.0
     assert pair.psi[0] == 1.0
     assert pair.iterations == 0
+
+
+def test_roundoff_floor_stall_fails_fast_with_a_diagnosis(bm_interval):
+    # At h=1/1024 the left iteration's bracket stalls at its roundoff floor,
+    # about 6.4e-10, above tol * lambda = 4.9e-10: the solver must say so
+    # within a few hundred steps instead of spinning to max_iter.
+    gen = assemble_generator(build_grid(bm_interval, 1 / 1024), bm_interval, 0)
+    with pytest.raises(NoConvergence) as err:
+        principal_eigenpair(gen)
+    msg = str(err.value)
+    assert int(re.search(r"after (\d+) iterations", msg).group(1)) <= 300
+    assert "has not halved" in msg
+    assert re.search(r"CW bracket \[4\.93\d*, 4\.93\d*\]", msg)
+    assert re.search(r"residual .* = \d\.\d+e-\d+", msg)
+
+
+@pytest.mark.parametrize("action", [0, 1])
+def test_fine_square_converges_at_the_default_tolerance(action):
+    gen = _generator("rect-2d", 1 / 256, action=action)
+    pair = principal_eigenpair(gen)
+    lo, hi = pair.cw_interval
+    assert lo <= pair.lam <= hi
+    assert hi - lo <= 1e-10 * pair.lam
+    if action == 1:
+        # Zero drift: twice the 1-d lattice eigenvalue (2/h^2) sin^2(pi h/2).
+        h = 1 / 256
+        assert abs(pair.lam - 4.0 / (h * h) * np.sin(np.pi * h / 2.0) ** 2) <= hi - lo
+
+
+def test_fine_interval_converges_at_a_relative_tolerance(bm_interval):
+    gen = assemble_generator(build_grid(bm_interval, 1 / 4096), bm_interval, 0)
+    pair = principal_eigenpair(gen, tol=1e-8)
+    assert abs(pair.lam - np.pi**2 / 2) <= 1e-3
+    lo, hi = pair.cw_interval
+    assert lo <= pair.lam <= hi
+
+
+def test_iteration_cap_is_a_backstop(bm_interval):
+    gen = assemble_generator(build_grid(bm_interval, 1 / 64), bm_interval, 0)
+    with pytest.raises(NoConvergence, match="after 3 iterations .*max_iter=3"):
+        principal_eigenpair(gen, max_iter=3)

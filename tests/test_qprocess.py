@@ -15,6 +15,7 @@ from exitrate.qprocess import (
     export_measures_csv,
     girsanov_check,
     lyapunov_certificate,
+    null_vector,
     qprocess_drift,
     rayleigh_identity,
     stationary_measures,
@@ -167,6 +168,42 @@ def test_uniform_ergodicity_certificates_hold_for_sampled_policies(bang_bang):
     assert res["certificate"]["rho"] > 0.0
     assert res["slack_bound_ch"] > 0.0
     assert len(res["per_policy"]) == 3
+
+
+def _dense_row_null_vector(mat):
+    # Reference: replace the first equation of mat^T mu = 0 by sum(mu) = 1.
+    m = mat.T.toarray()
+    m[0, :] = 1.0
+    rhs = np.zeros(mat.shape[0])
+    rhs[0] = 1.0
+    mu = np.linalg.solve(m, rhs)
+    return mu / mu.sum()
+
+
+@pytest.mark.parametrize("name,h", [("bm-interval", 1 / 32), ("rect-2d", 1 / 16)])
+def test_pinned_null_solve_matches_the_dense_row_solve(name, h):
+    prob = __import__("exitrate").problem_by_name(name)
+    gen = assemble_generator(build_grid(prob, h), prob, 0)
+    # Both systems are singular only up to the eigen error, and the choice
+    # of dropped equation moves the solution by about that much, so the
+    # comparison uses a tight pair and sees only roundoff.
+    pair = principal_eigenpair(gen, tol=1e-12)
+    model = doob_transform(gen, pair)
+    shifted = (gen.matrix + pair.lam * sp.identity(gen.n)).tocsr()
+    pin = int(np.argmax(pair.psi * pair.phi))
+    for mat in (model.g_tilde, shifted):
+        mu = null_vector(mat, pin)
+        assert abs(mu.sum() - 1.0) <= 1e-14
+        assert np.abs(mu - _dense_row_null_vector(mat)).sum() <= 1e-12
+    stationary_measures(gen, model, pair)
+    assert model.product_residual <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:Matrix is exactly singular")
+def test_null_solve_rejects_a_split_chain():
+    block = sp.block_diag([np.array([[-1.0, 1.0], [1.0, -1.0]])] * 2).tocsr()
+    with pytest.raises(NullVectorNotUnique):
+        null_vector(block, 0)
 
 
 def test_disconnected_transformed_chain_is_rejected():
