@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .errors import NoConvergence, NonPositiveEigenvector
-from .grid import Generator
+from .grid import Generator, as_matrix
 
 # Steps the CW bracket may go without halving before inverse iteration gives
 # up.  Larger than RETARGET_STEPS, so a stall is declared only after
@@ -52,15 +52,9 @@ class EigenPair:
     iterations: int
 
 
-def _as_matrix(g: Generator | sp.spmatrix) -> sp.csr_matrix:
-    if isinstance(g, Generator):
-        return g.matrix
-    return sp.csr_matrix(g)
-
-
 def cw_bounds(g: Generator | sp.spmatrix, psi: np.ndarray) -> tuple[float, float]:
     """Collatz-Wielandt bracket [min, max] of -(G psi)/psi for positive psi."""
-    mat = _as_matrix(g)
+    mat = as_matrix(g)
     psi = np.asarray(psi, dtype=float)
     if np.any(psi <= 0):
         raise NonPositiveEigenvector("cw_bounds requires a strictly positive test vector")
@@ -84,7 +78,7 @@ def principal_eigenpair(
     g: Generator | sp.spmatrix, tol: float = 1e-10, max_iter: int = 10000
 ) -> EigenPair:
     """Positive right/left principal eigenpair by shifted inverse iteration."""
-    mat = _as_matrix(g).tocsr()
+    mat = as_matrix(g).tocsr()
     n = mat.shape[0]
     if n == 1:
         lam = float(-mat[0, 0])

@@ -1,12 +1,14 @@
 """Monotone finite-difference approximation of the controlled generator.
 
 The interior lattice of the box is indexed in row-major (axis-0 major) order.
-``assemble_generator`` produces a sub-Markov rate matrix: nonnegative
-off-diagonal jump rates to axis neighbors, killing (dropped flux) toward the
-boundary, and the diagonal balancing the full outflow.  Drift is discretized
-by central differences wherever that keeps the scheme monotone
-(|m_k| h < a_kk, which preserves second-order accuracy) and by upwind
-one-sided differences otherwise.
+``monotone_stencil`` holds the one rate rule: nonnegative off-diagonal jump
+rates to axis neighbors, with drift discretized by central differences
+wherever that keeps the scheme monotone (|m_k| h < a_kk, which preserves
+second-order accuracy) and by upwind one-sided differences otherwise.
+``assemble_generator`` applies it to the whole lattice as a sub-Markov rate
+matrix: flux toward the boundary is killed and the diagonal balances the
+full outflow.  The conditioned process reuses it on a sub-lattice with the
+leaving flux reflected instead.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonconformingSpacing, NonFiniteCoefficient
-from .problems import PolicySpec, ProblemSpec, ValidatedProblem
-
-Problem = ProblemSpec | ValidatedProblem
+from .problems import PolicySpec, ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class Grid:
         return np.ravel_multi_index(tuple(multi), self.dims)
 
 
-def build_grid(problem: Problem, h: float) -> Grid:
+def build_grid(problem: ProblemSpec, h: float) -> Grid:
     """Interior lattice with spacing h; h must divide every side of the box."""
     lo, hi = problem.lo, problem.hi
     dims: list[int] = []
@@ -124,7 +124,7 @@ class Generator:
         return self.matrix.shape[0]
 
 
-def _policy_array(grid: Grid, problem: Problem, policy: int | PolicySpec | np.ndarray) -> np.ndarray:
+def _policy_array(grid: Grid, problem: ProblemSpec, policy: int | PolicySpec | np.ndarray) -> np.ndarray:
     if isinstance(policy, (int, np.integer)):
         arr = np.full(grid.n, int(policy), dtype=int)
     elif isinstance(policy, PolicySpec):
@@ -138,7 +138,7 @@ def _policy_array(grid: Grid, problem: Problem, policy: int | PolicySpec | np.nd
     return arr
 
 
-def drift_under_policy(grid: Grid, problem: Problem, policy: int | PolicySpec | np.ndarray) -> np.ndarray:
+def drift_under_policy(grid: Grid, problem: ProblemSpec, policy: int | PolicySpec | np.ndarray) -> np.ndarray:
     """(n, d) drift values m(x, v(x)) at the grid nodes."""
     assign = _policy_array(grid, problem, policy)
     m = np.empty((grid.n, grid.d), dtype=float)
@@ -148,16 +148,31 @@ def drift_under_policy(grid: Grid, problem: Problem, policy: int | PolicySpec | 
     return m
 
 
-def assemble_generator(grid: Grid, problem: Problem, policy: int | PolicySpec | np.ndarray) -> Generator:
-    """Assemble the killed rate matrix for the given policy (or single action)."""
-    m = drift_under_policy(grid, problem, policy)
-    sig = problem.sigma(grid.nodes)
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(sig))):
-        raise NonFiniteCoefficient(f"{problem.name}: coefficients not finite on the grid")
-    a = sig * sig
-    h = grid.h
+def as_matrix(g: Generator | sp.spmatrix | np.ndarray) -> sp.csr_matrix:
+    """The rate matrix of a Generator, or any matrix as CSR."""
+    return g.matrix if isinstance(g, Generator) else sp.csr_matrix(g)
 
-    n = grid.n
+
+def monotone_stencil(
+    grid: Grid, drift: np.ndarray, a_diag: np.ndarray, nodes: np.ndarray | None = None, reflect: bool = False
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Central/upwind rate matrix on a node set (default: the whole lattice).
+
+    drift and a_diag are (len(nodes), d) values at the nodes, which index the
+    matrix in the order given.  A stencil arm leaving the set is killed: its
+    rate goes to the returned per-node killed vector and the diagonal balances
+    the full outflow.  With reflect=True the arm is dropped from the diagonal
+    too, so rows sum to zero and killed stays zero.
+    """
+    h = grid.h
+    table = grid.neighbor_table
+    if nodes is not None:
+        # Local index of each grid node in the set; pos[-1] = -1 keeps arms
+        # that already exit the box outside the set.
+        pos = np.full(grid.n + 1, -1, dtype=np.int64)
+        pos[nodes] = np.arange(len(nodes))
+        table = pos[table[nodes]]
+    n = table.shape[0]
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
@@ -167,20 +182,24 @@ def assemble_generator(grid: Grid, problem: Problem, policy: int | PolicySpec | 
 
     min_rate = 0.0
     for k in range(grid.d):
-        diff = a[:, k] / (2.0 * h * h)
-        mk = m[:, k]
-        central = np.abs(mk) * h < a[:, k]
+        diff = a_diag[:, k] / (2.0 * h * h)
+        mk = drift[:, k]
+        central = np.abs(mk) * h < a_diag[:, k]
         up_rate = np.where(central, diff + mk / (2.0 * h), diff + np.maximum(mk, 0.0) / h)
         dn_rate = np.where(central, diff - mk / (2.0 * h), diff + np.maximum(-mk, 0.0) / h)
         min_rate = min(min_rate, float(up_rate.min()), float(dn_rate.min()))
         for sign, rate in ((0, dn_rate), (1, up_rate)):
-            nb = grid.neighbor_table[:, k, sign]
+            nb = table[:, k, sign]
             inside = nb >= 0
             rows.append(node_idx[inside])
             cols.append(nb[inside])
             vals.append(rate[inside])
-            killed[~inside] += rate[~inside]
-        diag -= up_rate + dn_rate
+            if reflect:
+                diag[inside] -= rate[inside]
+            else:
+                killed[~inside] += rate[~inside]
+        if not reflect:
+            diag -= up_rate + dn_rate
 
     rows.append(node_idx)
     cols.append(node_idx)
@@ -191,6 +210,16 @@ def assemble_generator(grid: Grid, problem: Problem, policy: int | PolicySpec | 
     # Monotonicity is structural: both stencil branches produce nonnegative
     # rates, so any negative is an assembly bug.
     assert min_rate >= 0.0, "negative off-diagonal rate; stencil monotonicity broken"
+    return mat, killed
+
+
+def assemble_generator(grid: Grid, problem: ProblemSpec, policy: int | PolicySpec | np.ndarray) -> Generator:
+    """Assemble the killed rate matrix for the given policy (or single action)."""
+    m = drift_under_policy(grid, problem, policy)
+    sig = problem.sigma(grid.nodes)
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(sig))):
+        raise NonFiniteCoefficient(f"{problem.name}: coefficients not finite on the grid")
+    mat, killed = monotone_stencil(grid, m, sig * sig)
     return Generator(matrix=mat, killed=killed, grid=grid)
 
 
@@ -230,7 +259,7 @@ def discrete_gradient(grid: Grid, field: np.ndarray, extension: str = "log-zero"
     return out
 
 
-def default_spacing(problem: Problem) -> float:
+def default_spacing(problem: ProblemSpec) -> float:
     """Default grid spacing: 1/64 in d=1, 1/32 in d=2."""
     return 1.0 / 64.0 if problem.dim == 1 else 1.0 / 32.0
 

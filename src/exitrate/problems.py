@@ -94,49 +94,12 @@ class ProblemSpec:
         return _evaluate(self.sigma_exprs, points)
 
 
-@dataclass(frozen=True)
-class ValidatedProblem:
+@dataclass(frozen=True, kw_only=True)
+class ValidatedProblem(ProblemSpec):
     """A ProblemSpec together with its sampled validation annotations."""
 
-    spec: ProblemSpec
     ellipticity_floor_sampled: float
-    lipschitz_estimate: float
     lattice_n: int
-
-    # Delegates so a ValidatedProblem can be used wherever a spec is expected.
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    @property
-    def bounds(self) -> tuple[tuple[float, float], ...]:
-        return self.spec.bounds
-
-    @property
-    def actions(self) -> tuple[str, ...]:
-        return self.spec.actions
-
-    @property
-    def n_actions(self) -> int:
-        return self.spec.n_actions
-
-    @property
-    def lo(self) -> np.ndarray:
-        return self.spec.lo
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.spec.hi
-
-    def drift(self, points: np.ndarray, action: int) -> np.ndarray:
-        return self.spec.drift(points, action)
-
-    def sigma(self, points: np.ndarray) -> np.ndarray:
-        return self.spec.sigma(points)
 
 
 @dataclass(frozen=True)
@@ -154,48 +117,32 @@ class PolicySpec:
         return PolicySpec(tuple(int(v) for v in values))
 
 
-def validate_problem(spec: ProblemSpec | ValidatedProblem, lattice_n: int = 33) -> ValidatedProblem:
+def _spec_fields(spec: ProblemSpec) -> dict:
+    """The ProblemSpec fields of spec, without any validation annotations."""
+    return {f.name: getattr(spec, f.name) for f in dataclasses.fields(ProblemSpec)}
+
+
+def validate_problem(spec: ProblemSpec, lattice_n: int = 33) -> ValidatedProblem:
     """Check ellipticity and coefficient finiteness on a closed-box lattice.
 
     Idempotent: validating a ValidatedProblem re-derives the same annotation.
     """
-    base = spec.spec if isinstance(spec, ValidatedProblem) else spec
-    axes = [np.linspace(lo, hi, lattice_n) for lo, hi in base.bounds]
+    axes = [np.linspace(lo, hi, lattice_n) for lo, hi in spec.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
 
-    sig = base.sigma(pts)
+    sig = spec.sigma(pts)
     if not np.all(np.isfinite(sig)):
-        raise NonFiniteCoefficient(f"{base.name}: sigma is not finite on the validation lattice")
+        raise NonFiniteCoefficient(f"{spec.name}: sigma is not finite on the validation lattice")
     floor = float(np.min(sig * sig))
-    if floor < base.c0 - 1e-12 * max(1.0, base.c0):
+    if floor < spec.c0 - 1e-12 * max(1.0, spec.c0):
         raise EllipticityViolation(
-            f"{base.name}: sampled |sigma^T y|^2 floor {floor:.6g} < c0 = {base.c0:.6g}"
+            f"{spec.name}: sampled |sigma^T y|^2 floor {floor:.6g} < c0 = {spec.c0:.6g}"
         )
-
-    lip = 0.0
-    fields = [sig]
-    for k in range(base.n_actions):
-        m = base.drift(pts, k)
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteCoefficient(f"{base.name}: drift under action {k} is not finite")
-        fields.append(m)
-    # Sampled Lipschitz estimate: largest finite-difference quotient along axis 0
-    # of the lattice, reported for information only.
-    shape = tuple(lattice_n for _ in range(base.dim))
-    step = axes[0][1] - axes[0][0]
-    for f in fields:
-        for j in range(f.shape[1]):
-            comp = f[:, j].reshape(shape)
-            if comp.shape[0] > 1 and step > 0:
-                lip = max(lip, float(np.max(np.abs(np.diff(comp, axis=0)))) / step)
-
-    return ValidatedProblem(
-        spec=base,
-        ellipticity_floor_sampled=floor,
-        lipschitz_estimate=lip,
-        lattice_n=lattice_n,
-    )
+    for k in range(spec.n_actions):
+        if not np.all(np.isfinite(spec.drift(pts, k))):
+            raise NonFiniteCoefficient(f"{spec.name}: drift under action {k} is not finite")
+    return ValidatedProblem(**_spec_fields(spec), ellipticity_floor_sampled=floor, lattice_n=lattice_n)
 
 
 def bm_interval() -> ProblemSpec:
@@ -300,7 +247,7 @@ def load_problem(path: str) -> ProblemSpec:
         raise ValueError(f"problem file {path} is missing field {exc}") from exc
 
 
-def with_bounds(spec: ProblemSpec | ValidatedProblem, bounds: Sequence[Sequence[float]]) -> ProblemSpec:
-    """Same problem on a different box (used by enlarged-domain constructions)."""
-    base = spec.spec if isinstance(spec, ValidatedProblem) else spec
-    return dataclasses.replace(base, bounds=tuple((float(lo), float(hi)) for lo, hi in bounds))
+def with_bounds(spec: ProblemSpec, bounds: Sequence[Sequence[float]]) -> ProblemSpec:
+    """Same problem on a different box, as a plain ProblemSpec (for enlarged domains)."""
+    box = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    return ProblemSpec(**(_spec_fields(spec) | {"bounds": box}))

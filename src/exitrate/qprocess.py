@@ -19,7 +19,17 @@ from scipy.sparse.linalg import spsolve
 from .control import policy_iteration
 from .eigen import EigenPair, check_irreducible, principal_eigenpair
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
-from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient, drift_under_policy
+from .grid import (
+    Generator,
+    Grid,
+    _policy_array,
+    as_matrix,
+    assemble_generator,
+    build_grid,
+    discrete_gradient,
+    drift_under_policy,
+    monotone_stencil,
+)
 from .problems import with_bounds
 
 DENSE_CAP = 2000
@@ -41,7 +51,7 @@ class QProcessModel:
 
 def doob_transform(gen: Generator | sp.spmatrix, pair: EigenPair, max_ratio: float = 1e12) -> QProcessModel:
     """Exact discrete h-transform by the principal eigenvector."""
-    mat = gen.matrix if isinstance(gen, Generator) else sp.csr_matrix(gen)
+    mat = as_matrix(gen)
     psi = pair.psi
     ratio = float(psi.max() / psi.min())
     if ratio > max_ratio:
@@ -116,7 +126,7 @@ def stationary_measures(
     check_irreducible(model.g_tilde, NullVectorNotUnique, "transformed chain")
     pin = int(np.argmax(pair.psi * pair.phi))
     mu = null_vector(model.g_tilde, pin)
-    mat = gen.matrix if isinstance(gen, Generator) else sp.csr_matrix(gen)
+    mat = as_matrix(gen)
     try:
         alpha = null_vector(mat + pair.lam * sp.identity(mat.shape[0], format="csr"), pin)
     except NullVectorNotUnique:
@@ -158,7 +168,7 @@ def girsanov_check(
     gen: Generator | sp.spmatrix, pair: EigenPair, t: float, g_field: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Killed-semigroup conjugation at time t: lhs, rhs, and their sup gap."""
-    mat = gen.matrix if isinstance(gen, Generator) else sp.csr_matrix(gen)
+    mat = as_matrix(gen)
     model = doob_transform(gen, pair)
     gd = _dense(mat)
     gt = _dense(model.g_tilde)
@@ -172,7 +182,6 @@ def girsanov_check(
 class SurvivalReport:
     rows: tuple[tuple[float, float, float], ...]  # (t, e^{lam t} P(tau > t), TV to alpha)
     limit_value: float
-    x0_index: int
     tv_fit_rate: float | None
     tv_fit_r2: float | None
     spectral_gap: float | None
@@ -192,7 +201,7 @@ def survival_asymptotics(
     against the dense spectral gap, which is also computed here when the
     matrix is small enough.
     """
-    mat = gen.matrix if isinstance(gen, Generator) else sp.csr_matrix(gen)
+    mat = as_matrix(gen)
     gd = _dense(mat)
     alpha = pair.phi
     rows = []
@@ -229,7 +238,6 @@ def survival_asymptotics(
     return SurvivalReport(
         rows=tuple(rows),
         limit_value=limit,
-        x0_index=x0_index,
         tv_fit_rate=rate,
         tv_fit_r2=r2,
         spectral_gap=gap,
@@ -245,8 +253,6 @@ class LyapunovCertificate:
     rho: float
     K_mask: np.ndarray
     eps: float
-    lam_prime: float
-    floor: float
     details: dict = field(default=None)  # type: ignore[assignment]
 
     def check(self, g_tilde: sp.spmatrix, slack: float = 1e-9) -> bool:
@@ -329,8 +335,6 @@ def lyapunov_certificate(
     model = doob_transform(gen, pair)
 
     grid2, spec2 = _enlarged_grid(problem, h, enlargement)
-    from .grid import _policy_array  # local import to reuse coercion
-
     pol_arr = _policy_array(grid, problem, policy)
     pol2 = _extend_policy(grid, grid2, pol_arr)
     gen2 = assemble_generator(grid2, spec2, pol2)
@@ -354,8 +358,6 @@ def lyapunov_certificate(
         rho=rho,
         K_mask=k_mask,
         eps=eps,
-        lam_prime=pair2.lam,
-        floor=float((v_field * pair.psi).min()),
         details={
             "lam": pair.lam,
             "B_radius": radius,
@@ -364,42 +366,6 @@ def lyapunov_certificate(
             "ring_dominated": bool(eps <= h + 1e-12),
         },
     )
-
-
-def _reflected_generator(
-    grid: Grid, sub_idx: np.ndarray, drift: np.ndarray, a_diag: np.ndarray
-) -> sp.csr_matrix:
-    """Conservative chain on a sub-lattice: flux leaving the set is dropped whole.
-
-    drift and a_diag are (n_sub, d) arrays at the sub-lattice nodes.
-    """
-    h = grid.h
-    n_sub = len(sub_idx)
-    sub_pos = -np.ones(grid.n, dtype=np.int64)
-    sub_pos[sub_idx] = np.arange(n_sub)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n_sub)
-    local = np.arange(n_sub)
-    for k in range(grid.d):
-        diff = a_diag[:, k] / (2.0 * h * h)
-        mk = drift[:, k]
-        central = np.abs(mk) * h < a_diag[:, k]
-        up_rate = np.where(central, diff + mk / (2.0 * h), diff + np.maximum(mk, 0.0) / h)
-        dn_rate = np.where(central, diff - mk / (2.0 * h), diff + np.maximum(-mk, 0.0) / h)
-        for sign, rate in ((0, dn_rate), (1, up_rate)):
-            nb_global = grid.neighbor_table[sub_idx, k, sign]
-            nb_local = np.where(nb_global >= 0, sub_pos[np.maximum(nb_global, 0)], -1)
-            keep = nb_local >= 0
-            rows.append(local[keep])
-            cols.append(nb_local[keep])
-            vals.append(rate[keep])
-            diag[keep] -= rate[keep]  # reflection: dropped flux leaves the diagonal too
-    rows.append(local)
-    cols.append(local)
-    vals.append(diag)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_sub, n_sub)
-    ).tocsr()
 
 
 def verify_uniform_ergodicity(
@@ -441,26 +407,23 @@ def verify_uniform_ergodicity(
     def y_generator(action_or_policy) -> sp.csr_matrix:
         m = drift_under_policy(grid, problem, action_or_policy)
         b = m + a_diag * g_hat
-        return _reflected_generator(grid, sub_idx, b[sub_idx], a_diag[sub_idx])
+        return monotone_stencil(grid, b[sub_idx], a_diag[sub_idx], nodes=sub_idx, reflect=True)[0]
 
     # Uniform certificate from the cutoff construction on the enlarged box.
     certificate = None
     cert_err: Exception | None = None
     min_side = float(np.min(problem.hi - problem.lo))
+    grid2, _ = _enlarged_grid(problem, h, 0.25)
+    d2 = np.minimum(
+        (grid2.nodes - problem.lo[None, :]).min(axis=1),
+        (problem.hi[None, :] - grid2.nodes).min(axis=1),
+    )
     for frac in eps_cut_fracs:
         eps_cut = frac * min_side
         if eps_cut <= 2.0 * h:
             continue
-        grid2, _ = _enlarged_grid(problem, h, 0.25)
-        d2 = np.minimum(
-            (grid2.nodes - problem.lo[None, :]).min(axis=1),
-            (problem.hi[None, :] - grid2.nodes).min(axis=1),
-        )
-        inside_d = np.all(
-            (grid2.nodes > problem.lo[None, :]) & (grid2.nodes < problem.hi[None, :]), axis=1
-        )
+        # d2 <= 0 off the original box, so the cutoff is zero there too.
         cut = np.clip((d2 - 2.0 * h) / (eps_cut - 2.0 * h), 0.0, 1.0)
-        cut[~inside_d] = 0.0
         try:
             trace_pot = policy_iteration(
                 problem, h, mode="MAX", tol=tol, grid=grid2, potential=2.0 * lam_star_min * cut

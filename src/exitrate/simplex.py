@@ -23,7 +23,6 @@ _PIV_TOL = 1e-11
 class SimplexResult:
     x: np.ndarray
     value: float
-    basis: np.ndarray
     duals: np.ndarray
     iterations: int
     feasibility_residual: float
@@ -155,7 +154,6 @@ def solve_standard_lp(a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray) -> Simp
     return SimplexResult(
         x=x,
         value=float(cost @ x),
-        basis=basis.copy(),
         duals=duals,
         iterations=it1 + it2,
         feasibility_residual=feas,

@@ -253,7 +253,6 @@ class OccupationSolution:
     value: float
     pi: np.ndarray
     lp: OccupationLP
-    basis_status: np.ndarray
     duals: np.ndarray
     iterations: int
     feasibility_residual: float
@@ -273,17 +272,6 @@ class OccupationSolution:
                 total += self.pi[j]
         return float(total)
 
-    def mass_on_wpoint(self, candidate: Optional[int], scale: float) -> float:
-        total = 0.0
-        for j, var in enumerate(self.lp.variables):
-            wp = self.lp.w_grid[var.wpoint]
-            if wp.candidate == candidate and wp.scale == scale:
-                total += self.pi[j]
-        return float(total)
-
-    def support(self, threshold: float = 1e-10) -> list[int]:
-        return [int(j) for j in np.flatnonzero(self.pi > threshold)]
-
 
 def solve_lp(lp: OccupationLP) -> OccupationSolution:
     res: SimplexResult = solve_standard_lp(lp.a_eq, lp.b_eq, lp.c)
@@ -291,7 +279,6 @@ def solve_lp(lp: OccupationLP) -> OccupationSolution:
         value=res.value,
         pi=res.x,
         lp=lp,
-        basis_status=res.basis,
         duals=res.duals,
         iterations=res.iterations,
         feasibility_residual=res.feasibility_residual,
@@ -425,7 +412,8 @@ def verify_minimizer_structure(
 
 
 def _mps_field(value: float) -> str:
-    return f"{value:.10g}"[:12]
+    """value at the highest precision (at most 10 digits) that fits 12 columns."""
+    return next(text for text in (f"{value:.{p}g}" for p in range(10, 0, -1)) if len(text) <= 12)
 
 
 def export_mps(lp: OccupationLP, path: str, name: str = "EXITRATE") -> None:

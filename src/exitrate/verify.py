@@ -453,8 +453,7 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
     def both_forms(gen, pair):
         model = doob_transform(gen, pair)
         mu, alpha = stationary_measures(gen, model, pair)
-        g_log = discrete_gradient(grid, np.log(pair.psi), extension="log-zero")
-        v_log = 0.5 * float(np.sum(np.sum((sig * g_log) ** 2, axis=1) * mu))
+        v_log, _ = rayleigh_identity(grid, prob, np.log(pair.psi), mu, pair.lam)
         g_psi = discrete_gradient(grid, pair.psi, extension="zero")
         num = float(np.sum(np.sum((sig * g_psi) ** 2, axis=1) / pair.psi * alpha))
         den = 2.0 * float(np.sum(pair.psi * alpha))

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exitrate.grid import assemble_generator, build_grid, drift_under_policy, export_coo
+from exitrate.eigen import principal_eigenpair
+from exitrate.grid import (
+    assemble_generator,
+    build_grid,
+    discrete_gradient,
+    drift_under_policy,
+    export_coo,
+    monotone_stencil,
+)
 from exitrate.problems import ProblemSpec, problem_by_name
 
 
@@ -145,3 +153,42 @@ def test_coo_export_round_trips(tmp_path, drift_interval):
 
     back = sp.coo_matrix((vals, (rows, cols)), shape=gen.matrix.shape).tocsr()
     assert (back != gen.matrix).nnz == 0
+
+
+@pytest.mark.parametrize(
+    "name, h",
+    [("bm-interval", 1 / 16), ("drift-interval", 1 / 16), ("bang-bang", 1 / 64), ("rect-2d", 1 / 16)],
+)
+def test_kill_stencil_on_all_nodes_is_the_generator(name, h):
+    prob = problem_by_name(name)
+    grid = build_grid(prob, h)
+    a = prob.sigma(grid.nodes) ** 2
+    for u in range(prob.n_actions):
+        gen = assemble_generator(grid, prob, u)
+        mat, killed = monotone_stencil(grid, drift_under_policy(grid, prob, u), a)
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(mat, part), getattr(gen.matrix, part))
+        np.testing.assert_array_equal(killed, gen.killed)
+
+
+@pytest.mark.parametrize("name, h", [("bang-bang", 1 / 64), ("rect-2d", 1 / 16)])
+def test_reflected_sub_lattice_chain(name, h):
+    # The sub-lattice of the uniform-ergodicity check (nodes more than 2h
+    # inside the box), with each action's drift alone and plus the
+    # conditioned drift a grad(log psi) of that action's eigenfunction.
+    prob = problem_by_name(name)
+    grid = build_grid(prob, h)
+    sub = np.flatnonzero(grid.dist_boundary() > 2.0 * h + 1e-12)
+    a = prob.sigma(grid.nodes) ** 2
+    for u in range(prob.n_actions):
+        gen = assemble_generator(grid, prob, u)
+        m = drift_under_policy(grid, prob, u)
+        psi_log = np.log(principal_eigenpair(gen).psi)
+        for drift in (m, m + a * discrete_gradient(grid, psi_log)):
+            mat, killed = monotone_stencil(grid, drift[sub], a[sub], nodes=sub, reflect=True)
+            rows = np.asarray(mat.sum(axis=1)).ravel()
+            assert np.abs(rows).max() <= 1e-12 * np.abs(mat.diagonal()).max()
+            assert not killed.any()
+            killed_chain = monotone_stencil(grid, drift, a)[0].toarray()[np.ix_(sub, sub)]
+            off = ~np.eye(len(sub), dtype=bool)
+            np.testing.assert_array_equal(mat.toarray()[off], killed_chain[off])

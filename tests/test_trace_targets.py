@@ -2,16 +2,19 @@
 
 perfbench/tracer.py wraps layer functions by (module, attribute) and raises
 on a missing one, but only inside the slow traced benchmark run.  These checks
-catch a rename in well under a second.
+catch a rename in well under a second, and check that a wrapped method
+still sees the calls made through a subclass.
 """
 
 import importlib
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from exitrate import _util
+from exitrate.problems import problem_by_name, validate_problem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -41,3 +44,17 @@ def test_trace_target_resolves(home, attr):
 @pytest.mark.parametrize("site", sorted(tracer.MAP_SITES))
 def test_map_site_calls_the_shared_ordered_map(site):
     assert importlib.import_module(site).ordered_map is _util.ordered_map
+
+
+def test_drift_through_a_validated_problem_is_traced():
+    # ValidatedProblem inherits drift from ProblemSpec, so the wrapper the
+    # tracer installs on ProblemSpec.drift sees calls made through it too.
+    prob = validate_problem(problem_by_name("rect-2d"))
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        prob.drift(np.array([[0.5, 0.5]]), 0)
+    finally:
+        tr.remove()
+    assert [s[1] for s in tr.spans] == ["problems.drift"]
+    assert tracer.aggregate(tr.spans)["problems.drift.points"] == 1

@@ -1,5 +1,7 @@
 """Occupation-measure program: feasibility structure, values, dual pricing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,11 +168,36 @@ def test_w_grid_size_is_capped(bang_bang):
 
 def test_lp_exports(tmp_path, bang_bang_lp):
     grid, cands, lp, sol = bang_bang_lp
+    # Costs whose 10-digit form overflows the 12-column field, one way or another.
+    extremes = (1.2345678901e-5, -1.2345678901e-5, 6.02e23)
+    variables = [dataclasses.replace(v, cost=c) for v, c in zip(lp.variables, extremes)]
+    lp = dataclasses.replace(lp, variables=variables + lp.variables[len(extremes) :])
     mps = tmp_path / "occ.mps"
     export_mps(lp, str(mps))
     text = mps.read_text()
     for section in ("NAME", "ROWS", "COLUMNS", "RHS", "ENDATA"):
         assert section in text
+    # Every (column, row) value of the fixed-column COLUMNS section parses
+    # back to the LP's coefficient.
+    expected = {}
+    for j, var in enumerate(lp.variables):
+        col = f"X{j:07d}"
+        expected[col, "COST"] = var.cost
+        for y, v in zip(var.row_cols, var.row_vals):
+            expected[col, f"S{int(y):07d}"] = float(v) * lp.row_scale
+        expected[col, "MASS"] = 1.0
+    lines = text.splitlines()
+    body = lines[lines.index("COLUMNS") + 1 : lines.index("RHS")]
+    parsed = {}
+    for line in body:
+        assert len(line) <= 36 or line[36:39] == "   "
+        for start in (14, 39):
+            if len(line) > start:
+                parsed[line[4:14].strip(), line[start : start + 10].strip()] = float(line[start + 10 : start + 22])
+    assert parsed.keys() == expected.keys()
+    for key, value in parsed.items():
+        assert abs(value - expected[key]) <= 1e-5 * abs(expected[key]), key
+    assert [parsed[f"X{j:07d}", "COST"] for j in range(3)] == pytest.approx(extremes, rel=1e-5)
     csv = tmp_path / "occ.csv"
     export_solution_csv(sol, str(csv))
     lines = csv.read_text().splitlines()
