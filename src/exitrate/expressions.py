@@ -11,7 +11,9 @@ Problems loaded from JSON carry their coefficients as strings such as
             | ("sin"|"cos"|"exp"|"log") "(" expr ")"
             | "(" expr ")"
 
-Compiled expressions evaluate vectorized over an (n, d) array of points.
+Compiled expressions evaluate vectorized over an (n, d) array of points.  An
+expression that names neither coordinate also carries its value as
+``constant``, so callers can broadcast it instead of evaluating it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -49,12 +51,17 @@ class Expression:
 
     source: str
     _fn: Callable[[np.ndarray], np.ndarray]
+    # The value when the source names no coordinate and evaluates without
+    # error; None otherwise.
+    constant: Optional[float] = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at points of shape (n, d); returns shape (n,)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        if self.constant is not None:
+            return np.full(pts.shape[0], self.constant)
         out = self._fn(pts)
         if np.ndim(out) == 0:
             out = np.full(pts.shape[0], float(out))
@@ -85,6 +92,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.source = source
+        self.uses_coordinates = False
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -154,6 +162,7 @@ class _Parser:
                 self.expect_op(")")
                 return lambda p: func(inner(p))
             if text in ("x1", "x2"):
+                self.uses_coordinates = True
                 axis = int(text[1]) - 1
                 def coord(p: np.ndarray, axis: int = axis) -> np.ndarray:
                     if axis >= p.shape[1]:
@@ -172,5 +181,19 @@ def parse_expression(text: str) -> Expression:
     """Parse a coefficient string into a vectorized callable field."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError(f"empty coefficient expression: {text!r}")
-    fn = _Parser(_tokenize(text), text).parse()
-    return Expression(source=text, _fn=fn)
+    parser = _Parser(_tokenize(text), text)
+    fn = parser.parse()
+    return Expression(source=text, _fn=fn, constant=None if parser.uses_coordinates else _constant_value(fn))
+
+
+def _constant_value(fn: Callable) -> Optional[float]:
+    """The value of a coordinate-free expression, or None if it fails to evaluate.
+
+    A failure (1/0, a complex power) is left to raise where it always did,
+    at evaluation.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            return float(fn(None))
+    except (ArithmeticError, TypeError, ValueError):
+        return None

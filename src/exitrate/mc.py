@@ -6,10 +6,20 @@ shard (Philox keyed by master seed and shard ordinal), and shard results are
 concatenated in shard order.  Worker count therefore cannot change any output
 bit.  Exits use the plain first-step-outside rule with no bridge correction;
 the O(sqrt(dt)) bias this leaves is covered by the dt-refinement test.
+
+The step loops are kept to a handful of numpy calls per step.  A coefficient
+whose expressions name no coordinate is one constant row, broadcast rather
+than evaluated; a per-node policy with constant action drifts is a per-node
+table gathered by the nearest node.  The confined process finds each point's
+cell once per attempt and blends the drift correction from a table of cell
+corners, and only paths whose full step leaves the box enter the halving
+loop.  Every shortcut does the float operations of the plain evaluation in
+the same order, so no output bit depends on which path a step takes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Union
@@ -21,6 +31,7 @@ from numpy.random import Philox
 
 from .errors import TooFewSurvivors, TooLargeForDense
 from .grid import Generator, Grid, discrete_gradient
+from .problems import _compiled
 from ._util import ordered_map, write_csv
 
 SHARD = 32768
@@ -50,22 +61,50 @@ class TrajectoryEnsemble:
     x0: np.ndarray
 
 
-def _policy_drift(
-    problem,
-    policy: Union[int, np.ndarray],
-    grid: Optional[Grid],
-    points: np.ndarray,
-) -> np.ndarray:
+def _coefficients(problem, policy: Union[int, np.ndarray], grid: Optional[Grid]):
+    """Drift and sigma accessors for the step loops: drift(x, near) and sigma(x).
+
+    An accessor whose expressions name no coordinate returns one constant (d,)
+    row; broadcast, it gives the same floats as evaluating at every point.  A
+    per-node policy whose action drifts are all constant gathers rows of a
+    per-node table by the nearest node of each point (``near`` when given).
+    Anything else is evaluated at the points.
+    """
+
+    def constants(exprs) -> Optional[np.ndarray]:
+        values = [_compiled(e).constant for e in exprs]
+        return None if None in values else np.array(values)
+
+    sigma_row = constants(problem.sigma_exprs)
+    sigma = problem.sigma if sigma_row is None else (lambda x: sigma_row)
+    rows = [constants(exprs) for exprs in problem.drift_exprs]
+
     if isinstance(policy, (int, np.integer)):
-        return problem.drift(points, int(policy))
+        u = int(policy)
+        row = rows[u]
+        if row is None:
+            return (lambda x, near=None: problem.drift(x, u)), sigma
+        return (lambda x, near=None: row), sigma
     if grid is None:
         raise ValueError("a per-node policy needs the grid it lives on")
-    actions = np.asarray(policy, dtype=np.int64)[grid.nearest_index(points)]
-    out = np.empty_like(points)
-    for u in np.unique(actions):
-        mask = actions == u
-        out[mask] = problem.drift(points[mask], int(u))
-    return out
+    actions = np.asarray(policy, dtype=np.int64)
+
+    def nodes(x: np.ndarray, near: Optional[np.ndarray]) -> np.ndarray:
+        return grid.nearest_index(x) if near is None else near
+
+    if all(row is not None for row in rows):
+        table = np.array(rows)[actions]
+        return (lambda x, near=None: table[nodes(x, near)]), sigma
+
+    def drift(x: np.ndarray, near: Optional[np.ndarray] = None) -> np.ndarray:
+        act = actions[nodes(x, near)]
+        out = np.empty_like(x)
+        for u in np.unique(act):
+            mask = act == u
+            out[mask] = problem.drift(x[mask], int(u))
+        return out
+
+    return drift, sigma
 
 
 def simulate_killed(
@@ -89,6 +128,7 @@ def simulate_killed(
     horizon = n_steps * dt
     d = len(x0)
     sq = np.sqrt(dt)
+    drift, sigma = _coefficients(problem, policy, grid)
 
     def run_shard(shard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         count = min(SHARD, n_paths - shard * SHARD)
@@ -101,16 +141,16 @@ def simulate_killed(
         for k in range(n_steps):
             if not len(alive):
                 break
-            # x + m * dt + s * z * sq, in place but in that order, so the
-            # bits match the out-of-place expression.  Drift and sigma
-            # return fresh arrays, and x is this shard's own copy.
-            m = _policy_drift(problem, policy, grid, x)
-            s = problem.sigma(x)
-            m *= dt
-            x += m
-            s *= rng.standard_normal(x.shape)
-            s *= sq
-            x += s
+            # x + m * dt + (s * z) * sq, in place but in that order, so the
+            # bits match the out-of-place expression; x is this shard's own
+            # copy.  m and s are constant rows or (count, d) arrays.
+            m = drift(x)
+            s = sigma(x)
+            x += m * dt
+            z = rng.standard_normal(x.shape)
+            z *= s
+            z *= sq
+            x += z
             out = np.any((x <= lo) | (x >= hi), axis=1)
             if out.any():
                 rows = np.flatnonzero(out)
@@ -150,7 +190,6 @@ class RateEstimate:
     rate: float
     stderr: float
     r_squared: float
-    window: tuple[float, float]
     survivors_at_start: int
 
 
@@ -166,18 +205,26 @@ def estimate_exit_rate(
     if not 0.0 <= t0 < t1 <= ensemble.horizon + 1e-12:
         raise ValueError("fit window must sit inside [0, horizon]")
     n = ensemble.n_paths
-    tau = np.sort(ensemble.exit_times[~ensemble.censored])
     times = np.linspace(t0, t1, n_points)
+    # A path in bin b exits in (times[b-1], times[b]]; censored paths sit
+    # past the last time.  Survivors at times[j] are then n minus the
+    # running count of bins 0..j, for the sample and for every resample.
+    bins = np.where(
+        ensemble.censored, n_points, np.searchsorted(times, ensemble.exit_times, side="left")
+    )
 
-    def log_survival(sorted_tau: np.ndarray, total: int) -> np.ndarray:
-        alive = total - np.searchsorted(sorted_tau, times, side="right")
-        return np.log(np.maximum(alive, 1) / total)
+    def alive(picked: np.ndarray) -> np.ndarray:
+        return n - np.cumsum(np.bincount(picked, minlength=n_points + 1)[:n_points])
 
-    survivors = n - int(np.searchsorted(tau, t0, side="right"))
+    def log_survival(counts: np.ndarray) -> np.ndarray:
+        return np.log(np.maximum(counts, 1) / n)
+
+    counts = alive(bins)
+    survivors = int(counts[0])
     if survivors < 100:
         raise TooFewSurvivors(f"only {survivors} paths survive past t={t0:g}")
 
-    y = log_survival(tau, n)
+    y = log_survival(counts)
     slope, intercept = np.polyfit(times, y, 1)
     fitted = slope * times + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
@@ -186,19 +233,70 @@ def estimate_exit_rate(
 
     rng = _philox(ensemble.seed, _STREAM_BOOTSTRAP)
     slopes = np.empty(n_boot)
-    exit_all = ensemble.exit_times
-    censored_all = ensemble.censored
     for b in range(n_boot):
         pick = rng.integers(0, n, n)
-        tau_b = np.sort(exit_all[pick][~censored_all[pick]])
-        slopes[b] = np.polyfit(times, log_survival(tau_b, n), 1)[0]
+        slopes[b] = np.polyfit(times, log_survival(alive(bins[pick])), 1)[0]
     return RateEstimate(
         rate=float(-slope),
         stderr=float(slopes.std(ddof=1)),
         r_squared=r2,
-        window=(t0, t1),
         survivors_at_start=survivors,
     )
+
+
+def _cells(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's cell: its lower-corner node (flat index) and the (n, d)
+    fractions along each axis, both clamped to the node hull."""
+
+    base = []
+    frac = np.zeros((len(points), grid.d))
+    for k, size in enumerate(grid.dims):
+        if size == 1:
+            base.append(np.zeros(len(points), dtype=np.int64))
+            continue
+        t = (points[:, k] - (grid.lo[k] + grid.h)) / grid.h
+        cell = np.minimum(np.maximum(np.floor(t), 0), size - 2)
+        base.append(cell.astype(np.int64))
+        frac[:, k] = np.minimum(np.maximum(t - cell, 0.0), 1.0)
+    return np.ravel_multi_index(base, grid.dims), frac
+
+
+def _corner_table(grid: Grid, field: np.ndarray) -> np.ndarray:
+    """(n, 2^d, m): the (n, m) field at the corners of the cell whose lower
+    corner is each node, in ``product((0, 1), repeat=d)`` order."""
+
+    lower = np.unravel_index(np.arange(grid.n), grid.dims)
+    columns = []
+    for corner in product((0, 1), repeat=grid.d):
+        idx = [np.minimum(lower[k] + corner[k], grid.dims[k] - 1) for k in range(grid.d)]
+        columns.append(field[np.ravel_multi_index(idx, grid.dims)])
+    return np.stack(columns, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_corners(d: int) -> np.ndarray:
+    """(2^d, d), read-only: which axes each corner takes the upper node on,
+    in ``product((0, 1), repeat=d)`` order."""
+    pick = np.array(list(product((False, True), repeat=d)))
+    pick.flags.writeable = False
+    return pick
+
+
+def _blend(corners: np.ndarray, cell: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Multilinear blend of each point's cell corners.
+
+    A corner's weight is the product over axes, in axis order, of frac or
+    1 - frac, and the weighted corners are added into zeros in ``product``
+    order: the float operations of a plain per-corner loop.
+    """
+
+    pick = _upper_corners(frac.shape[1])
+    weights = np.multiply.reduce(np.where(pick, frac[:, None, :], 1.0 - frac[:, None, :]), axis=2)
+    terms = weights[:, :, None] * corners[cell]
+    out = np.zeros((len(cell), corners.shape[2]))
+    for j in range(len(pick)):
+        out += terms[:, j]
+    return out
 
 
 def interpolate_field(grid: Grid, field: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -209,39 +307,17 @@ def interpolate_field(grid: Grid, field: np.ndarray, points: np.ndarray) -> np.n
     if squeeze:
         field = field[:, None]
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = grid.d
-    dims = grid.dims
-    base = np.empty((len(points), d), dtype=np.int64)
-    frac = np.empty((len(points), d))
-    for k in range(d):
-        t = (points[:, k] - (grid.lo[k] + grid.h)) / grid.h
-        if dims[k] == 1:
-            base[:, k] = 0
-            frac[:, k] = 0.0
-        else:
-            cell = np.minimum(np.maximum(np.floor(t), 0), dims[k] - 2)
-            base[:, k] = cell.astype(np.int64)
-            frac[:, k] = np.minimum(np.maximum(t - cell, 0.0), 1.0)
-    out = np.zeros((len(points), field.shape[1]))
-    for corner in product((0, 1), repeat=d):
-        idx = [np.minimum(base[:, k] + corner[k], dims[k] - 1) for k in range(d)]
-        flat = np.ravel_multi_index(idx, dims)
-        w = np.ones(len(points))
-        for k in range(d):
-            w *= frac[:, k] if corner[k] else 1.0 - frac[:, k]
-        out += w[:, None] * field[flat]
+    out = _blend(_corner_table(grid, field), *_cells(grid, points))
     return out[:, 0] if squeeze else out
 
 
 @dataclass(frozen=True)
 class QOccupancy:
-    """Occupancy histogram and running cost of the conditioned process."""
+    """Occupancy histogram and terminal states of the conditioned process."""
 
     histogram: np.ndarray
-    mean_quadratic_cost: float
     terminal_states: np.ndarray
     projections: int
-    flagged: bool
     killed: int
     n_paths: int
     dt: float
@@ -274,30 +350,38 @@ def simulate_qprocess(
     lo, hi, h = grid.lo, grid.hi, grid.h
     if np.any(x0 <= lo + 2 * h) or np.any(x0 >= hi - 2 * h):
         raise ValueError("start point must sit at least two cells inside")
-    grad = discrete_gradient(grid, psi_log, extension="log-zero")
+    corners = _corner_table(grid, discrete_gradient(grid, psi_log, extension="log-zero"))
+    drift, sigma = _coefficients(problem, policy, grid)
     n_steps = int(round(T / dt))
     horizon = n_steps * dt
     rng = _philox(seed, _STREAM_QPROCESS)
 
+    def propose(xs: np.ndarray, near: np.ndarray, step, sq) -> np.ndarray:
+        s = sigma(xs)
+        m = drift(xs, near) + s * s * _blend(corners, *_cells(grid, xs))
+        return xs + m * step + s * rng.standard_normal(xs.shape) * sq
+
     x = np.tile(x0, (n_paths, 1))
-    occupancy = np.zeros(grid.n)
-    quad_time = 0.0
+    n_nodes = grid.n
+    occupancy = np.zeros(n_nodes)
     projections = 0
+    full = np.full(n_paths, dt)
+    sq = np.sqrt(dt)
     for _ in range(n_steps):
-        remaining = np.full(n_paths, dt)
-        trial = np.full(n_paths, dt)
+        # Every path first tries the full step.
+        near = grid.nearest_index(x)
+        prop = propose(x, near, dt, sq)
+        inside = ((prop > lo) & (prop < hi)).all(axis=1)
+        if inside.all():
+            occupancy += np.bincount(near, weights=full, minlength=n_nodes)
+            x = prop
+            continue
+        idx = np.arange(n_paths)
+        step = full
+        remaining = full.copy()
+        trial = full.copy()
         halvings = np.zeros(n_paths, dtype=np.int64)
         while True:
-            idx = np.flatnonzero(remaining > 1e-18)
-            if not len(idx):
-                break
-            xs = x[idx]
-            step = np.minimum(trial[idx], remaining[idx])
-            s = problem.sigma(xs)
-            w = interpolate_field(grid, grad, xs)
-            m = _policy_drift(problem, policy, grid, xs) + s * s * w
-            prop = xs + m * step[:, None] + s * rng.standard_normal(xs.shape) * np.sqrt(step)[:, None]
-            inside = np.all((prop > lo) & (prop < hi), axis=1)
             stuck = ~inside & (halvings[idx] >= max_halvings)
             if stuck.any():
                 prop[stuck] = np.clip(prop[stuck], lo + 2 * h, hi - 2 * h)
@@ -305,9 +389,7 @@ def simulate_qprocess(
             commit = inside | stuck
             ci = idx[commit]
             dt_c = step[commit]
-            occupancy_cells = grid.nearest_index(xs[commit])
-            occupancy += np.bincount(occupancy_cells, weights=dt_c, minlength=grid.n)
-            quad_time += float(np.sum(0.5 * np.sum((s[commit] * w[commit]) ** 2, axis=1) * dt_c))
+            occupancy += np.bincount(near[commit], weights=dt_c, minlength=n_nodes)
             x[ci] = prop[commit]
             remaining[ci] -= dt_c
             # Retry the whole leftover next time; without the reset a path
@@ -316,13 +398,19 @@ def simulate_qprocess(
             retry = idx[~commit]
             halvings[retry] += 1
             trial[retry] *= 0.5
+            idx = np.flatnonzero(remaining > 1e-18)
+            if not len(idx):
+                break
+            xs = x[idx]
+            step = np.minimum(trial[idx], remaining[idx])
+            near = grid.nearest_index(xs)
+            prop = propose(xs, near, step[:, None], np.sqrt(step)[:, None])
+            inside = ((prop > lo) & (prop < hi)).all(axis=1)
     total = n_paths * horizon if horizon > 0 else 1.0
     return QOccupancy(
         histogram=occupancy / total,
-        mean_quadratic_cost=quad_time / total,
         terminal_states=x,
         projections=projections,
-        flagged=projections > 0.001 * n_paths * n_steps,
         killed=0,
         n_paths=n_paths,
         dt=dt,
@@ -336,7 +424,6 @@ class CTMCEnsemble:
     occupancy: np.ndarray
     exit_times: np.ndarray
     censored: np.ndarray
-    final_states: np.ndarray
     horizon: float
     seed: int
 
@@ -376,6 +463,19 @@ def simulate_ctmc(
         probs = np.where(rates[:, None] > 0, jump / rates[:, None], 0.0)
         kill = np.where(rates > 0, deficit / rates, 0.0)
     cum = np.cumsum(np.hstack([probs, kill[:, None]]), axis=1)
+    # Per state, only the columns where cum rises: their cum values padded
+    # with +inf, and the column each stands for (padding stands for the kill
+    # column).  The first rising column with cum >= u is the first of all
+    # columns with cum >= u, so any u > 0 picks what the full row would; at
+    # u == 0 this picks the first column with positive probability.
+    rising = np.diff(cum, axis=1, prepend=0.0) > 0
+    rank = np.cumsum(rising, axis=1) - 1
+    rows, cols = np.nonzero(rising)
+    width = int(rising.sum(axis=1).max()) + 1
+    rise_cum = np.full((n, width), np.inf)
+    rise_col = np.full((n, width), n, dtype=np.int64)
+    rise_cum[rows, rank[rows, cols]] = cum[rows, cols]
+    rise_col[rows, rank[rows, cols]] = cols
 
     rng = _philox(seed, _STREAM_CTMC)
     state = np.full(n_paths, int(x0_index), dtype=np.int64)
@@ -383,7 +483,6 @@ def simulate_ctmc(
     alive = np.ones(n_paths, dtype=bool)
     censored = np.ones(n_paths, dtype=bool)
     exit_times = np.full(n_paths, float(T))
-    final_states = np.full(n_paths, int(x0_index), dtype=np.int64)
     occupancy = np.zeros(n)
     while alive.any():
         idx = np.flatnonzero(alive)
@@ -393,18 +492,17 @@ def simulate_ctmc(
         np.add.at(occupancy, state[idx], commit)
         t_next = t[idx] + hold
         done = t_next >= T
-        final_states[idx[done]] = state[idx[done]]
         alive[idx[done]] = False
         movers = idx[~done]
         if not len(movers):
             continue
         u = rng.random(len(movers))
-        sel = np.sum(cum[state[movers]] < u[:, None], axis=1)
+        at = state[movers]
+        sel = rise_col[at, np.sum(rise_cum[at] < u[:, None], axis=1)]
         killed = sel >= n
         dead = movers[killed]
         exit_times[dead] = t_next[~done][killed]
         censored[dead] = False
-        final_states[dead] = state[dead]
         alive[dead] = False
         live = movers[~killed]
         state[live] = sel[~killed]
@@ -413,7 +511,6 @@ def simulate_ctmc(
         occupancy=occupancy,
         exit_times=exit_times,
         censored=censored,
-        final_states=final_states,
         horizon=float(T),
         seed=seed,
     )

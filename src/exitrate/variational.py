@@ -304,7 +304,6 @@ def generator_pairing(lp: OccupationLP, f: np.ndarray, pi: np.ndarray) -> float:
 @dataclass(frozen=True)
 class TransformPoint:
     pi: np.ndarray
-    mu: np.ndarray
     objective: float
     stationarity_residual: float
 
@@ -337,7 +336,7 @@ def transform_point(lp: OccupationLP, candidate: int, policy: np.ndarray) -> Tra
     pi[picks] = mu
     objective = float(lp.c @ pi)
     resid = float(np.abs(lp.a_eq @ pi - lp.b_eq).max())
-    return TransformPoint(pi=pi, mu=mu, objective=objective, stationarity_residual=resid)
+    return TransformPoint(pi=pi, objective=objective, stationarity_residual=resid)
 
 
 def fixed_policy_lp(

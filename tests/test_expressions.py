@@ -58,3 +58,22 @@ def test_second_coordinate_rejected_on_1d_points():
     expr = parse_expression("x2")
     with pytest.raises(ExpressionError):
         expr(np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("text, value", [("2*pi", 2 * np.pi), ("-1", -1.0), ("sin(1)", np.sin(1.0))])
+def test_coordinate_free_expressions_carry_their_value(text, value):
+    expr = parse_expression(text)
+    assert expr.constant == value
+    np.testing.assert_array_equal(expr(_pts(n=5)), np.full(5, value))
+
+
+@pytest.mark.parametrize("text", ["x1", "0*x1", "x2", "1/0"])
+def test_other_expressions_have_no_constant(text):
+    # 1/0 names no coordinate but fails to evaluate; it still raises where
+    # it always did, at evaluation.
+    assert parse_expression(text).constant is None
+
+
+def test_failing_constant_still_raises_at_evaluation():
+    with pytest.raises(ZeroDivisionError):
+        parse_expression("1/0")(_pts(n=3))

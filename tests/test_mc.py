@@ -1,6 +1,7 @@
 """Monte Carlo engines against exact-simulation and closed-form oracles."""
 
 import os
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,9 +11,15 @@ from scipy.linalg import expm
 from exitrate._util import THREADS_ENV
 from exitrate.eigen import principal_eigenpair
 from exitrate.errors import TooFewSurvivors
-from exitrate.grid import assemble_generator, build_grid
+from exitrate.expressions import ExpressionError
+from exitrate.control import policy_iteration
+from exitrate.grid import assemble_generator, build_grid, discrete_gradient
 from exitrate.mc import (
+    _STREAM_BOOTSTRAP,
+    _STREAM_CTMC,
+    _STREAM_QPROCESS,
     SHARD,
+    _philox,
     TrajectoryEnsemble,
     estimate_exit_rate,
     export_ensemble_csv,
@@ -253,3 +260,304 @@ def test_csv_exports(tmp_path, bm_interval):
     p2 = tmp_path / "hist.csv"
     export_histogram_csv(grid, np.array([0.25, 0.5, 0.25]), str(p2))
     assert p2.read_text().splitlines()[0] == "x1,mass"
+
+
+# ---------------------------------------------------------------- oracles
+# Plain step loops that evaluate every coefficient at every point.  The
+# engines hoist constant coefficients, share one cell lookup per attempt and
+# bin instead of sort; each must reproduce these loops bit for bit.
+
+
+def _ref_policy_drift(problem, policy, grid, points):
+    if isinstance(policy, (int, np.integer)):
+        return problem.drift(points, int(policy))
+    actions = np.asarray(policy, dtype=np.int64)[grid.nearest_index(points)]
+    out = np.empty_like(points)
+    for u in np.unique(actions):
+        mask = actions == u
+        out[mask] = problem.drift(points[mask], int(u))
+    return out
+
+
+def _ref_killed(problem, policy, x0, dt, T, n_paths, seed, grid=None):
+    """One shard (n_paths <= SHARD) of the killed Euler-Maruyama loop."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    lo, hi = problem.lo, problem.hi
+    n_steps = int(round(T / dt))
+    rng = _philox(seed, 0)
+    x = np.tile(x0, (n_paths, 1))
+    alive = np.arange(n_paths)
+    exit_times = np.full(n_paths, n_steps * dt)
+    censored = np.ones(n_paths, dtype=bool)
+    terminal = np.zeros((n_paths, len(x0)))
+    for k in range(n_steps):
+        if not len(alive):
+            break
+        m = _ref_policy_drift(problem, policy, grid, x)
+        s = problem.sigma(x)
+        x = x + m * dt + s * rng.standard_normal(x.shape) * np.sqrt(dt)
+        out = np.any((x <= lo) | (x >= hi), axis=1)
+        gone = alive[out]
+        exit_times[gone] = (k + 1) * dt
+        censored[gone] = False
+        terminal[gone] = x[out]
+        x, alive = x[~out], alive[~out]
+    terminal[alive] = x
+    return exit_times, censored, terminal
+
+
+def _ref_interpolate(grid, field, points):
+    field = np.asarray(field, dtype=float)
+    squeeze = field.ndim == 1
+    if squeeze:
+        field = field[:, None]
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    d, dims = grid.d, grid.dims
+    base = np.empty((len(points), d), dtype=np.int64)
+    frac = np.empty((len(points), d))
+    for k in range(d):
+        t = (points[:, k] - (grid.lo[k] + grid.h)) / grid.h
+        if dims[k] == 1:
+            base[:, k] = 0
+            frac[:, k] = 0.0
+        else:
+            cell = np.clip(np.floor(t), 0, dims[k] - 2)
+            base[:, k] = cell.astype(np.int64)
+            frac[:, k] = np.clip(t - cell, 0.0, 1.0)
+    out = np.zeros((len(points), field.shape[1]))
+    for corner in product((0, 1), repeat=d):
+        idx = [np.minimum(base[:, k] + corner[k], dims[k] - 1) for k in range(d)]
+        w = np.ones(len(points))
+        for k in range(d):
+            w *= frac[:, k] if corner[k] else 1.0 - frac[:, k]
+        out += w[:, None] * field[np.ravel_multi_index(idx, dims)]
+    return out[:, 0] if squeeze else out
+
+
+def _ref_qprocess(problem, grid, policy, psi_log, x0, dt, T, n_paths, seed, max_halvings=20):
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    lo, hi, h = grid.lo, grid.hi, grid.h
+    grad = discrete_gradient(grid, psi_log, extension="log-zero")
+    n_steps = int(round(T / dt))
+    rng = _philox(seed, _STREAM_QPROCESS)
+    x = np.tile(x0, (n_paths, 1))
+    occupancy = np.zeros(grid.n)
+    projections = 0
+    for _ in range(n_steps):
+        remaining = np.full(n_paths, dt)
+        trial = np.full(n_paths, dt)
+        halvings = np.zeros(n_paths, dtype=np.int64)
+        while True:
+            idx = np.flatnonzero(remaining > 1e-18)
+            if not len(idx):
+                break
+            xs = x[idx]
+            step = np.minimum(trial[idx], remaining[idx])
+            s = problem.sigma(xs)
+            w = _ref_interpolate(grid, grad, xs)
+            m = _ref_policy_drift(problem, policy, grid, xs) + s * s * w
+            prop = xs + m * step[:, None] + s * rng.standard_normal(xs.shape) * np.sqrt(step)[:, None]
+            inside = np.all((prop > lo) & (prop < hi), axis=1)
+            stuck = ~inside & (halvings[idx] >= max_halvings)
+            prop[stuck] = np.clip(prop[stuck], lo + 2 * h, hi - 2 * h)
+            projections += int(stuck.sum())
+            commit = inside | stuck
+            ci = idx[commit]
+            dt_c = step[commit]
+            occupancy += np.bincount(grid.nearest_index(xs[commit]), weights=dt_c, minlength=grid.n)
+            x[ci] = prop[commit]
+            remaining[ci] -= dt_c
+            trial[ci] = np.maximum(remaining[ci], 0.0)
+            retry = idx[~commit]
+            halvings[retry] += 1
+            trial[retry] *= 0.5
+    return occupancy / (n_paths * n_steps * dt), x, projections
+
+
+def _ref_rate(ens, fit_window, n_points=41, n_boot=200):
+    n = ens.n_paths
+    times = np.linspace(*fit_window, n_points)
+
+    def log_survival(sorted_tau):
+        alive = n - np.searchsorted(sorted_tau, times, side="right")
+        return np.log(np.maximum(alive, 1) / n)
+
+    tau = np.sort(ens.exit_times[~ens.censored])
+    slope = np.polyfit(times, log_survival(tau), 1)[0]
+    rng = _philox(ens.seed, _STREAM_BOOTSTRAP)
+    slopes = np.empty(n_boot)
+    for b in range(n_boot):
+        pick = rng.integers(0, n, n)
+        slopes[b] = np.polyfit(times, log_survival(np.sort(ens.exit_times[pick][~ens.censored[pick]])), 1)[0]
+    return -slope, slopes.std(ddof=1), n - int(np.searchsorted(tau, fit_window[0], side="right"))
+
+
+def _ref_ctmc(matrix, x0_index, T, seed, n_paths):
+    mat = matrix.toarray()
+    n = mat.shape[0]
+    rates = -np.diag(mat)
+    deficit = -mat.sum(axis=1)
+    deficit[np.abs(deficit) < 1e-13] = 0.0
+    jump = np.maximum(mat, 0.0)
+    np.fill_diagonal(jump, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probs = np.where(rates[:, None] > 0, jump / rates[:, None], 0.0)
+        kill = np.where(rates > 0, deficit / rates, 0.0)
+    cum = np.cumsum(np.hstack([probs, kill[:, None]]), axis=1)
+    rng = _philox(seed, _STREAM_CTMC)
+    state = np.full(n_paths, x0_index, dtype=np.int64)
+    t = np.zeros(n_paths)
+    alive = np.ones(n_paths, dtype=bool)
+    censored = np.ones(n_paths, dtype=bool)
+    exit_times = np.full(n_paths, float(T))
+    occupancy = np.zeros(n)
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        r = rates[state[idx]]
+        hold = np.where(r > 0, rng.exponential(1.0, len(idx)) / np.maximum(r, 1e-300), np.inf)
+        np.add.at(occupancy, state[idx], np.minimum(hold, T - t[idx]))
+        t_next = t[idx] + hold
+        done = t_next >= T
+        alive[idx[done]] = False
+        movers, t_move = idx[~done], t_next[~done]
+        if not len(movers):
+            continue
+        sel = np.sum(cum[state[movers]] < rng.random(len(movers))[:, None], axis=1)
+        killed = sel >= n
+        exit_times[movers[killed]] = t_move[killed]
+        censored[movers[killed]] = False
+        alive[movers[killed]] = False
+        state[movers[~killed]] = sel[~killed]
+        t[movers[~killed]] = t_move[~killed]
+    return occupancy, exit_times, censored
+
+
+# A problem whose drift and sigma both depend on the point, so the engines
+# take their evaluated branch; its second action has constant drift.
+XDEP = ProblemSpec(
+    "xdep",
+    2,
+    ((0.0, 1.0), (0.0, 1.0)),
+    ("a", "b"),
+    (("0.5-x1", "0.3*sin(pi*x2)"), ("1", "-0.5")),
+    ("1+0.25*x1", "1.2-0.2*x2*x2"),
+)
+
+
+def _assert_killed_matches(ens, ref):
+    np.testing.assert_array_equal(ens.exit_times, ref[0])
+    np.testing.assert_array_equal(ens.censored, ref[1])
+    np.testing.assert_array_equal(ens.terminal_states, ref[2])
+
+
+def test_killed_bm_interval_matches_the_plain_loop(bm_interval):
+    args = (bm_interval, 0, [0.5], 1e-3, 0.3, 2_000, SEED)
+    _assert_killed_matches(simulate_killed(*args), _ref_killed(*args))
+
+
+def test_killed_per_node_policy_matches_the_plain_loop(rect_2d):
+    grid = build_grid(rect_2d, 0.125)
+    policy = np.arange(grid.n) % 3
+    args = (rect_2d, policy, [0.4, 0.6], 1e-3, 0.2, 2_000, SEED)
+    _assert_killed_matches(simulate_killed(*args, grid=grid), _ref_killed(*args, grid=grid))
+
+
+@pytest.mark.parametrize("policy", ["per-node", 0, 1])
+def test_killed_x_dependent_coefficients_match_the_plain_loop(policy):
+    grid = build_grid(XDEP, 0.125)
+    pol = np.arange(grid.n) % 2 if policy == "per-node" else policy
+    args = (XDEP, pol, [0.5, 0.5], 1e-3, 0.2, 1_000, SEED)
+    _assert_killed_matches(simulate_killed(*args, grid=grid), _ref_killed(*args, grid=grid))
+
+
+def _assert_confined_matches(problem, grid, policy, psi_log, x0, dt, T, n_paths, max_halvings=20):
+    occ = simulate_qprocess(problem, grid, policy, psi_log, x0, dt, T, n_paths, SEED, max_halvings)
+    hist, terminal, projections = _ref_qprocess(
+        problem, grid, policy, psi_log, x0, dt, T, n_paths, SEED, max_halvings
+    )
+    np.testing.assert_array_equal(occ.histogram, hist)
+    np.testing.assert_array_equal(occ.terminal_states, terminal)
+    assert occ.projections == projections
+    return occ
+
+
+def test_confined_bm_interval_matches_the_plain_loop(bm_interval):
+    grid = build_grid(bm_interval, 1.0 / 32)
+    pair = principal_eigenpair(assemble_generator(grid, bm_interval, 0))
+    _assert_confined_matches(bm_interval, grid, 0, np.log(pair.psi), [0.5], 1e-3, 0.5, 32)
+
+
+def test_confined_x_dependent_coefficients_match_the_plain_loop():
+    tr = policy_iteration(XDEP, 0.125, mode="MAX")
+    _assert_confined_matches(XDEP, tr.grid, tr.final_policy, tr.psi_log, [0.5, 0.5], 2e-3, 0.3, 16)
+    _assert_confined_matches(XDEP, tr.grid, 0, tr.psi_log, [0.4, 0.6], 2e-3, 0.3, 16)
+
+
+@pytest.mark.parametrize(
+    "name, h, x0, dt, max_halvings",
+    [
+        ("bang-bang", 1.0 / 16, [0.8], 0.5, 1),
+        ("bang-bang", 1.0 / 16, [0.8], 0.05, 0),
+        ("rect-2d", 1.0 / 16, [0.2, 0.8], 0.1, 2),
+        ("rect-2d", 1.0 / 16, [0.2, 0.8], 0.02, 0),
+    ],
+)
+def test_confined_halving_and_projection_match_the_plain_loop(
+    name, h, x0, dt, max_halvings, bang_bang, rect_2d
+):
+    # Steps this large near the wall leave the box, so the retry loop halves
+    # them and, after max_halvings, projects.
+    prob = bang_bang if name == "bang-bang" else rect_2d
+    tr = policy_iteration(prob, h, mode="MAX")
+    occ = _assert_confined_matches(prob, tr.grid, tr.final_policy, tr.psi_log, x0, dt, 1.0, 64, max_halvings)
+    assert occ.projections > 0
+
+
+def test_rate_estimate_matches_sorting(bm_interval):
+    ens = simulate_killed(bm_interval, 0, [0.5], 1e-3, 1.6, 4_000, SEED)
+    est = estimate_exit_rate(ens, fit_window=(0.5, 1.5))
+    assert (est.rate, est.stderr, est.survivors_at_start) == _ref_rate(ens, (0.5, 1.5))
+    # Exit times on the fit grid itself pin which side of a tie counts.
+    rng = np.random.default_rng(5)
+    n = 3_000
+    times = np.linspace(0.2, 1.2, 41)
+    exits = np.where(rng.random(n) < 0.5, rng.choice(times, n), rng.exponential(0.5, n))
+    censored = exits > 1.5
+    ties = TrajectoryEnsemble(
+        n_paths=n, dt=0.0, horizon=1.5, exit_times=np.where(censored, 1.5, exits), censored=censored,
+        terminal_states=np.zeros((n, 1)), seed=SEED, x0=np.zeros(1),
+    )
+    est = estimate_exit_rate(ties, fit_window=(0.2, 1.2))
+    assert (est.rate, est.stderr, est.survivors_at_start) == _ref_rate(ties, (0.2, 1.2))
+
+
+def test_ctmc_matches_the_full_row_pick(bang_bang):
+    tr = policy_iteration(bang_bang, 1.0 / 16, mode="MAX")
+    x0 = int(tr.grid.nearest_index(np.array([[0.0]]))[0])
+    ens = simulate_ctmc(tr.final_generator, x0, 2.0, SEED, 2_000)
+    occupancy, exit_times, censored = _ref_ctmc(tr.final_generator.matrix, x0, 2.0, SEED, 2_000)
+    np.testing.assert_array_equal(ens.occupancy, occupancy)
+    np.testing.assert_array_equal(ens.exit_times, exit_times)
+    np.testing.assert_array_equal(ens.censored, censored)
+
+
+def test_ctmc_zero_uniform_picks_a_neighbour(monkeypatch):
+    # From state 2 the only move is to state 1.  A uniform draw of exactly 0
+    # must still pick a column with positive probability.
+    class Zeros:
+        def exponential(self, scale, size):
+            return np.full(size, 0.5)
+
+        def random(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr("exitrate.mc._philox", lambda seed, stream: Zeros())
+    gen = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 1.0, -1.0]])
+    ens = simulate_ctmc(gen, 2, T=0.75, seed=SEED)
+    np.testing.assert_array_equal(ens.occupancy, [0.0, 0.25, 0.5])
+
+
+def test_second_coordinate_still_raises_on_an_interval():
+    prob = ProblemSpec("bad", 1, ((0.0, 1.0),), ("0",), (("x2",),), ("1",))
+    with pytest.raises(ExpressionError):
+        simulate_killed(prob, 0, [0.5], dt=1e-3, T=0.01, n_paths=8, seed=SEED)

@@ -13,8 +13,10 @@ import os
 import numpy as np
 import pytest
 
-from exitrate import _util
-from exitrate.problems import problem_by_name, validate_problem
+from exitrate import _util, mc
+from exitrate.eigen import principal_eigenpair
+from exitrate.grid import assemble_generator, build_grid
+from exitrate.problems import ProblemSpec, problem_by_name, validate_problem
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -58,3 +60,24 @@ def test_drift_through_a_validated_problem_is_traced():
         tr.remove()
     assert [s[1] for s in tr.spans] == ["problems.drift"]
     assert tracer.aggregate(tr.spans)["problems.drift.points"] == 1
+
+
+def _confined_sigma_spans(prob, h, x0):
+    grid = build_grid(prob, h)
+    pair = principal_eigenpair(assemble_generator(grid, prob, 0))
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        mc.simulate_qprocess(prob, grid, 0, np.log(pair.psi), x0, 1e-3, 0.01, 4, 1)
+    finally:
+        tr.remove()
+    return [s for s in tr.spans if s[1] == "problems.sigma"]
+
+
+def test_confined_process_evaluates_only_point_dependent_sigma():
+    # A constant sigma is one broadcast row, so the problems.sigma counters
+    # count evaluations of coefficients that depend on the point.
+    bm = validate_problem(problem_by_name("bm-interval"))
+    assert _confined_sigma_spans(bm, 1.0 / 16, [0.5]) == []
+    varying = ProblemSpec("varying", 1, ((0.0, 1.0),), ("0",), (("0",),), ("1+0.5*x1",))
+    assert len(_confined_sigma_spans(varying, 1.0 / 16, [0.5])) >= 10
