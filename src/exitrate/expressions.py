@@ -52,7 +52,7 @@ class Expression:
     source: str
     _fn: Callable[[np.ndarray], np.ndarray]
     # The value when the source names no coordinate and evaluates without
-    # error; None otherwise.
+    # an error or a floating-point warning; None otherwise.
     constant: Optional[float] = None
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
@@ -60,8 +60,6 @@ class Expression:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if self.constant is not None:
-            return np.full(pts.shape[0], self.constant)
         out = self._fn(pts)
         if np.ndim(out) == 0:
             out = np.full(pts.shape[0], float(out))
@@ -187,13 +185,14 @@ def parse_expression(text: str) -> Expression:
 
 
 def _constant_value(fn: Callable) -> Optional[float]:
-    """The value of a coordinate-free expression, or None if it fails to evaluate.
+    """The value of a coordinate-free expression, or None if evaluating it
+    fails or warns.
 
-    A failure (1/0, a complex power) is left to raise where it always did,
-    at evaluation.
+    A failure (1/0, a complex power) or a warning (log(0), exp(1000)) is
+    left to happen where it always did, at evaluation.
     """
     try:
-        with np.errstate(all="ignore"):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
             return float(fn(None))
     except (ArithmeticError, TypeError, ValueError):
         return None

@@ -19,7 +19,6 @@ the same order, so no output bit depends on which path a step takes.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Union
@@ -273,15 +272,6 @@ def _corner_table(grid: Grid, field: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
-@functools.lru_cache(maxsize=None)
-def _upper_corners(d: int) -> np.ndarray:
-    """(2^d, d), read-only: which axes each corner takes the upper node on,
-    in ``product((0, 1), repeat=d)`` order."""
-    pick = np.array(list(product((False, True), repeat=d)))
-    pick.flags.writeable = False
-    return pick
-
-
 def _blend(corners: np.ndarray, cell: np.ndarray, frac: np.ndarray) -> np.ndarray:
     """Multilinear blend of each point's cell corners.
 
@@ -290,7 +280,8 @@ def _blend(corners: np.ndarray, cell: np.ndarray, frac: np.ndarray) -> np.ndarra
     order: the float operations of a plain per-corner loop.
     """
 
-    pick = _upper_corners(frac.shape[1])
+    # Which axes each corner takes the upper node on, in product order.
+    pick = np.array(list(product((False, True), repeat=frac.shape[1])))
     weights = np.multiply.reduce(np.where(pick, frac[:, None, :], 1.0 - frac[:, None, :]), axis=2)
     terms = weights[:, :, None] * corners[cell]
     out = np.zeros((len(cell), corners.shape[2]))
@@ -300,7 +291,12 @@ def _blend(corners: np.ndarray, cell: np.ndarray, frac: np.ndarray) -> np.ndarra
 
 
 def interpolate_field(grid: Grid, field: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of node values, clamped at the node hull."""
+    """Multilinear interpolation of node values, clamped at the node hull.
+
+    Each call builds the corner table of the whole grid, so it costs O(grid
+    size) as well as O(points); a loop that blends one field many times
+    builds the table once and calls ``_blend`` instead.
+    """
 
     field = np.asarray(field, dtype=float)
     squeeze = field.ndim == 1

@@ -67,13 +67,20 @@ def test_coordinate_free_expressions_carry_their_value(text, value):
     np.testing.assert_array_equal(expr(_pts(n=5)), np.full(5, value))
 
 
-@pytest.mark.parametrize("text", ["x1", "0*x1", "x2", "1/0"])
+@pytest.mark.parametrize("text", ["x1", "0*x1", "x2", "1/0", "log(0)", "exp(1000)"])
 def test_other_expressions_have_no_constant(text):
-    # 1/0 names no coordinate but fails to evaluate; it still raises where
-    # it always did, at evaluation.
+    # 1/0, log(0) and exp(1000) name no coordinate but fail or warn when
+    # evaluated; they still do so where they always did, at evaluation.
     assert parse_expression(text).constant is None
 
 
 def test_failing_constant_still_raises_at_evaluation():
     with pytest.raises(ZeroDivisionError):
         parse_expression("1/0")(_pts(n=3))
+
+
+@pytest.mark.parametrize("text, value", [("log(0)", -np.inf), ("exp(1000)", np.inf)])
+def test_warning_constant_still_warns_at_evaluation(text, value):
+    with pytest.warns(RuntimeWarning):
+        out = parse_expression(text)(_pts(n=3))
+    np.testing.assert_array_equal(out, np.full(3, value))
