@@ -144,15 +144,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_qprocess(args: argparse.Namespace) -> int:
     prob = _resolve_problem(args)
     h = args.h if args.h else default_spacing(prob)
-    if prob.n_actions == 1:
-        grid = build_grid(prob, h)
-        gen = assemble_generator(grid, prob, 0)
-        pair = principal_eigenpair(gen, tol=args.tol)
-        policy = 0
-    else:
-        trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol)
-        grid, gen, pair = trace.grid, trace.final_generator, trace.final_pair
-        policy = trace.final_policy
+    trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol)
+    grid, gen, pair = trace.grid, trace.final_generator, trace.final_pair
     model = doob_transform(gen, pair)
     mu, alpha = stationary_measures(gen, model, pair)
     _, rayleigh_rel = rayleigh_identity(grid, prob, model.psi_log, mu, pair.lam)
@@ -164,7 +157,7 @@ def cmd_qprocess(args: argparse.Namespace) -> int:
             sup_gap = max(sup_gap, gap)
     x0 = int(grid.nearest_index(np.array([_x0_point(args, prob)]))[0])
     surv = survival_asymptotics(gen, pair, t_list=(1.0, 5.0, 10.0), x0_index=x0)
-    cert = lyapunov_certificate(prob, h, policy, tol=args.tol)
+    cert = lyapunov_certificate(prob, h, trace.final_policy, tol=args.tol)
     report = {
         "config": _config_dict(args, prob, h),
         "lam": pair.lam,
@@ -183,7 +176,7 @@ def cmd_qprocess(args: argparse.Namespace) -> int:
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        export_measures_csv(grid, model, pair, os.path.join(args.out, "measures.csv"), V=cert.V if cert.V.shape[0] == grid.n else None)
+        export_measures_csv(grid, model, pair, os.path.join(args.out, "measures.csv"), V=cert.V)
     _emit(report, args, "qprocess_report")
     return 0
 

@@ -34,16 +34,13 @@ class Grid:
     hi: np.ndarray
     h: float
     dims: tuple[int, ...]
+    n: int
     nodes: np.ndarray
     neighbor_table: np.ndarray
 
     @property
     def d(self) -> int:
         return len(self.dims)
-
-    @property
-    def n(self) -> int:
-        return int(np.prod(self.dims))
 
     @property
     def boundary_adjacency(self) -> np.ndarray:
@@ -104,7 +101,7 @@ def build_grid(problem: ProblemSpec, h: float) -> Grid:
         table[:, k, 0] = down.ravel()
         table[:, k, 1] = up.ravel()
 
-    return Grid(lo=lo, hi=hi, h=float(h), dims=tuple(dims), nodes=nodes, neighbor_table=table)
+    return Grid(lo=lo, hi=hi, h=float(h), dims=tuple(dims), n=n, nodes=nodes, neighbor_table=table)
 
 
 @dataclass(frozen=True)

@@ -358,8 +358,7 @@ def simulate_qprocess(
         return xs + m * step + s * rng.standard_normal(xs.shape) * sq
 
     x = np.tile(x0, (n_paths, 1))
-    n_nodes = grid.n
-    occupancy = np.zeros(n_nodes)
+    occupancy = np.zeros(grid.n)
     projections = 0
     full = np.full(n_paths, dt)
     sq = np.sqrt(dt)
@@ -369,7 +368,7 @@ def simulate_qprocess(
         prop = propose(x, near, dt, sq)
         inside = ((prop > lo) & (prop < hi)).all(axis=1)
         if inside.all():
-            occupancy += np.bincount(near, weights=full, minlength=n_nodes)
+            occupancy += np.bincount(near, weights=full, minlength=grid.n)
             x = prop
             continue
         idx = np.arange(n_paths)
@@ -385,7 +384,7 @@ def simulate_qprocess(
             commit = inside | stuck
             ci = idx[commit]
             dt_c = step[commit]
-            occupancy += np.bincount(near[commit], weights=dt_c, minlength=n_nodes)
+            occupancy += np.bincount(near[commit], weights=dt_c, minlength=grid.n)
             x[ci] = prop[commit]
             remaining[ci] -= dt_c
             # Retry the whole leftover next time; without the reset a path

@@ -10,17 +10,16 @@ multiplies each in-domain jump rate of the chosen action's generator row by
 exp(s * (psi(y) - psi(x))) and redirects boundary flux to zero, so the tilted
 row is conservative.  Its cost is the exact relative-entropy rate of the tilt,
 which for the matched candidate at s=1 reproduces the conditioned chain row
-for row and prices it at the eigenvalue.  Each variable also carries the
-drift vector w whose quadratic cost 0.5*|sigma^T w|^2 equals that entropy
-rate, so the objective reads as the classical control cost.
+for row and prices it at the eigenvalue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .control import PolicyIterationTrace
 from .errors import TooLarge
@@ -90,53 +89,46 @@ def build_w_grid(
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class LPVariable:
-    node: int
-    action: int
-    wpoint: int
-    cost: float
-    nominal_w: np.ndarray
-    effective_w: np.ndarray
-    row_cols: np.ndarray
-    row_vals: np.ndarray
-
-
 @dataclass
 class OccupationLP:
+    """The program as parallel arrays over its variables.
+
+    Variable j is the triple (node[j], action[j], wpoint[j]), in lexicographic
+    order; c[j] is its cost and nominal_w[j] its drift point.  Column j of
+    `rows` is the variable's generator row, unscaled, so the stationarity
+    pairing and the transform point read the rates without a rounding step
+    through h^2.
+    """
+
     grid: Grid
     w_grid: tuple[WPoint, ...]
     candidates: tuple[Candidate, ...]
-    variables: list[LPVariable]
-    a_eq: np.ndarray
-    b_eq: np.ndarray
+    node: np.ndarray
+    action: np.ndarray
+    wpoint: np.ndarray
     c: np.ndarray
-    row_scale: float
-    index: dict = field(repr=False, default_factory=dict)
+    nominal_w: np.ndarray
+    rows: sp.csc_matrix
 
     @property
     def n_variables(self) -> int:
-        return len(self.variables)
+        return self.c.size
 
+    @property
+    def row_scale(self) -> float:
+        return self.grid.h ** 2
 
-def _tilted_row(
-    off_cols: np.ndarray,
-    off_vals: np.ndarray,
-    killed: float,
-    node: int,
-    psi_log: np.ndarray,
-    scale: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Tilt one generator row; returns (cols, vals, entropy rate)."""
+    @property
+    def a_eq(self) -> sp.csc_matrix:
+        """Stationarity rows scaled by h^2 (entries O(1)), then the mass row."""
+        mass = sp.csc_matrix(np.ones((1, self.n_variables)))
+        return sp.vstack([self.rows * self.row_scale, mass], format="csc")
 
-    z = scale * (psi_log[off_cols] - psi_log[node])
-    q = off_vals * np.exp(z)
-    # Per-channel rate g*(z e^z - e^z + 1) >= 0; the dropped boundary flux
-    # costs its full intensity.
-    cost = float(np.sum(q * z - q + off_vals) + killed)
-    cols = np.concatenate([off_cols, [node]])
-    vals = np.concatenate([q, [-q.sum()]])
-    return cols, vals, max(cost, 0.0)
+    @property
+    def b_eq(self) -> np.ndarray:
+        b = np.zeros(self.grid.n + 1)
+        b[-1] = 1.0
+        return b
 
 
 def build_occupation_lp(
@@ -149,103 +141,92 @@ def build_occupation_lp(
     """Assemble the stationarity-plus-normalization LP.
 
     With policy given, each node offers only that action (the fixed-policy
-    program); otherwise all actions are available everywhere.
+    program); otherwise all actions are available everywhere.  Rows are
+    tilted one (action, w-point) block at a time; per-row sums go through
+    np.bincount, which adds in index order like a loop over the row.
     """
 
-    n = grid.n
-    d = grid.d
-    n_actions = problem.n_actions
-    sigma = problem.sigma(grid.nodes)
-
+    n, d, n_w = grid.n, grid.d, len(w_grid)
     if policy is not None:
         policy = np.asarray(policy, dtype=np.int64)
         if policy.shape != (n,):
             raise ValueError("policy length does not match the grid")
-        n_total = n * len(w_grid)
+        if policy.min() < 0 or policy.max() >= problem.n_actions:
+            # An action no generator has would leave its variables without rows.
+            raise ValueError("policy contains out-of-range action indices")
+        offered = policy[:, None]
     else:
-        n_total = n * n_actions * len(w_grid)
+        offered = np.tile(np.arange(problem.n_actions, dtype=np.int64), (n, 1))
+    n_total = offered.size * n_w
     if n_total > MAX_LP_VARIABLES:
         raise TooLarge(f"LP would have {n_total} variables, cap is {MAX_LP_VARIABLES}")
 
-    generators = [assemble_generator(grid, problem, u) for u in range(n_actions)]
-    rows_by_action = []
-    for gen in generators:
+    node = np.repeat(np.arange(n, dtype=np.int64), offered.shape[1] * n_w)
+    action = np.repeat(offered.ravel(), n_w)
+    wpoint = np.tile(np.arange(n_w, dtype=np.int64), offered.size)
+    c = np.zeros(n_total)
+    nominal_w = np.zeros((n_total, d))
+    owner: list[np.ndarray] = []
+    row: list[np.ndarray] = []
+    val: list[np.ndarray] = []
+    for u in range(problem.n_actions):
+        gen = assemble_generator(grid, problem, u)
         mat = gen.matrix
-        idx = np.split(mat.indices, mat.indptr[1:-1])
-        val = np.split(mat.data, mat.indptr[1:-1])
-        rows_by_action.append((idx, val, gen.killed))
+        x_sel, k_sel = np.nonzero(offered == u)
+        # first[x]: index of variable (x, u, w-point 0), or -1 if x lacks u.
+        first = np.full(n, -1, dtype=np.int64)
+        first[x_sel] = (x_sel * offered.shape[1] + k_sel) * n_w
+        src = np.repeat(np.arange(n), np.diff(mat.indptr))
+        keep = first[src] >= 0
+        e_src, e_col, e_val = src[keep], mat.indices[keep], mat.data[keep]
+        off = e_col != e_src
+        o_src, o_col, o_val = e_src[off], e_col[off], e_val[off]
+        for wi, wp in enumerate(w_grid):
+            if wp.candidate is None:
+                owner.append(first[e_src] + wi)
+                row.append(e_col)
+                val.append(e_val)
+                continue
+            cand = candidates[wp.candidate]
+            z = wp.scale * (cand.psi_log[o_col] - cand.psi_log[o_src])
+            q = o_val * np.exp(z)
+            # Per-channel rate g*(z e^z - e^z + 1) >= 0; the dropped boundary
+            # flux costs its full intensity.
+            rate = np.bincount(o_src, weights=q * z - q + o_val, minlength=n)
+            # astype: bincount of no entries (a lone node) returns int zeros,
+            # whose negation would lose the -0.0 the row's diagonal holds.
+            outflow = np.bincount(o_src, weights=q, minlength=n).astype(float)
+            j = first[x_sel] + wi
+            c[j] = np.maximum(rate[x_sel] + gen.killed[x_sel], 0.0)
+            nominal_w[j] = wp.scale * cand.grad[x_sel]
+            owner += [first[o_src] + wi, j]
+            row += [o_col, x_sel]
+            val += [q, -outflow[x_sel]]
 
-    variables: list[LPVariable] = []
-    index: dict = {}
-    for x in range(n):
-        actions = (int(policy[x]),) if policy is not None else range(n_actions)
-        for u in actions:
-            idx, val, killed_vec = rows_by_action[u]
-            cols_u = idx[x]
-            vals_u = val[x]
-            off = cols_u != x
-            off_cols = cols_u[off]
-            off_vals = vals_u[off]
-            killed = float(killed_vec[x])
-            for wi, wp in enumerate(w_grid):
-                if wp.candidate is None:
-                    cols, vals, cost = cols_u, vals_u, 0.0
-                    nominal = np.zeros(d)
-                else:
-                    cand = candidates[wp.candidate]
-                    cols, vals, cost = _tilted_row(
-                        off_cols, off_vals, killed, x, cand.psi_log, wp.scale
-                    )
-                    nominal = wp.scale * cand.grad[x]
-                effective = _effective_w(nominal, sigma[x], cost)
-                index[(x, u, wi)] = len(variables)
-                variables.append(
-                    LPVariable(
-                        node=x,
-                        action=u,
-                        wpoint=wi,
-                        cost=cost,
-                        nominal_w=nominal,
-                        effective_w=effective,
-                        row_cols=np.asarray(cols, dtype=np.int64),
-                        row_vals=np.asarray(vals, dtype=float),
-                    )
-                )
-
-    row_scale = grid.h ** 2
-    n_vars = len(variables)
-    a_eq = np.zeros((n + 1, n_vars))
-    for j, var in enumerate(variables):
-        a_eq[var.row_cols, j] = var.row_vals * row_scale
-    a_eq[n, :] = 1.0
-    b_eq = np.zeros(n + 1)
-    b_eq[n] = 1.0
-    c = np.array([var.cost for var in variables])
+    # Group the entries by variable; the stable sort keeps each tilted row's
+    # diagonal after its off-diagonal rates.
+    owner_all = np.concatenate(owner)
+    order = np.argsort(owner_all, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(owner_all, minlength=n_total))])
+    rows = sp.csc_matrix(
+        (np.concatenate(val)[order], np.concatenate(row)[order], indptr), shape=(n, n_total)
+    )
     return OccupationLP(
         grid=grid,
         w_grid=tuple(w_grid),
         candidates=tuple(candidates),
-        variables=variables,
-        a_eq=a_eq,
-        b_eq=b_eq,
+        node=node,
+        action=action,
+        wpoint=wpoint,
         c=c,
-        row_scale=row_scale,
-        index=index,
+        nominal_w=nominal_w,
+        rows=rows,
     )
 
 
-def _effective_w(nominal: np.ndarray, sigma_x: np.ndarray, cost: float) -> np.ndarray:
-    """Rescale the nominal direction so 0.5*|sigma^T w|^2 equals the cost."""
-
-    base = float(np.linalg.norm(sigma_x * nominal))
-    if cost <= 0.0:
-        return np.zeros_like(nominal)
-    if base == 0.0:
-        # Directionless tilt (isolated node): put the cost on the first axis.
-        w = np.zeros_like(nominal)
-        w[0] = np.sqrt(2.0 * cost) / sigma_x[0]
-        return w
-    return nominal * (np.sqrt(2.0 * cost) / base)
+def _ordered_sum(values: np.ndarray, where: np.ndarray) -> float:
+    """Sum of values[where], added one at a time in index order."""
+    return float(np.bincount(where.astype(np.intp), weights=values, minlength=2)[1])
 
 
 @dataclass
@@ -259,22 +240,15 @@ class OccupationSolution:
     complementary_slackness: float
 
     def node_marginal(self) -> np.ndarray:
-        marg = np.zeros(self.lp.grid.n)
-        for j, var in enumerate(self.lp.variables):
-            marg[var.node] += self.pi[j]
-        return marg
+        return np.bincount(self.lp.node, weights=self.pi, minlength=self.lp.grid.n)
 
     def mass_on_policy(self, policy: np.ndarray) -> float:
         policy = np.asarray(policy, dtype=np.int64)
-        total = 0.0
-        for j, var in enumerate(self.lp.variables):
-            if var.action == policy[var.node]:
-                total += self.pi[j]
-        return float(total)
+        return _ordered_sum(self.pi, self.lp.action == policy[self.lp.node])
 
 
 def solve_lp(lp: OccupationLP) -> OccupationSolution:
-    res: SimplexResult = solve_standard_lp(lp.a_eq, lp.b_eq, lp.c)
+    res: SimplexResult = solve_standard_lp(lp.a_eq.toarray(), lp.b_eq, lp.c)
     return OccupationSolution(
         value=res.value,
         pi=res.x,
@@ -293,12 +267,7 @@ def generator_pairing(lp: OccupationLP, f: np.ndarray, pi: np.ndarray) -> float:
     rows impose it on the indicator basis.
     """
 
-    f = np.asarray(f, dtype=float)
-    total = 0.0
-    for j, var in enumerate(lp.variables):
-        if pi[j] != 0.0:
-            total += pi[j] * float(var.row_vals @ f[var.row_cols])
-    return total
+    return float(np.asarray(pi) @ (lp.rows.T @ np.asarray(f, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -316,18 +285,14 @@ def transform_point(lp: OccupationLP, candidate: int, policy: np.ndarray) -> Tra
     """
 
     policy = np.asarray(policy, dtype=np.int64)
-    n = lp.grid.n
     wi = next(
         i
         for i, wp in enumerate(lp.w_grid)
         if wp.candidate == candidate and wp.scale == 1.0
     )
-    picks = [lp.index[(x, int(policy[x]), wi)] for x in range(n)]
-
-    q = np.zeros((n, n))
-    for x, j in enumerate(picks):
-        var = lp.variables[j]
-        q[x, var.row_cols] = var.row_vals
+    # One variable per node, in node order.
+    picks = np.flatnonzero((lp.action == policy[lp.node]) & (lp.wpoint == wi))
+    q = lp.rows[:, picks].T.toarray()
     # The matched tilt reproduces a conditioned chain, whose law peaks near
     # the maximum of the candidate's eigenfunction: pin the null solve there.
     mu = null_vector(q, int(np.argmax(lp.candidates[candidate].psi_log)))
@@ -337,20 +302,6 @@ def transform_point(lp: OccupationLP, candidate: int, policy: np.ndarray) -> Tra
     objective = float(lp.c @ pi)
     resid = float(np.abs(lp.a_eq @ pi - lp.b_eq).max())
     return TransformPoint(pi=pi, objective=objective, stationarity_residual=resid)
-
-
-def fixed_policy_lp(
-    grid: Grid,
-    problem,
-    policy: np.ndarray,
-    candidates: Sequence[Candidate],
-    scales: Sequence[float] = (1.0, 0.5, 2.0),
-) -> tuple[OccupationLP, OccupationSolution]:
-    """Single-policy program; its value approximates that policy's rate."""
-
-    w_grid = build_w_grid(grid, candidates, scales)
-    lp = build_occupation_lp(grid, problem, w_grid, candidates, policy=policy)
-    return lp, solve_lp(lp)
 
 
 def verify_minimizer_structure(
@@ -373,34 +324,27 @@ def verify_minimizer_structure(
     tv = 0.5 * float(np.abs(marg - mu_tilde).sum())
     frac_policy = sol.mass_on_policy(policy)
 
+    # nearest[wi, x]: w-point wi is among the nearest to the candidate's
+    # gradient at node x.  A point within 1e-15 of the best so far joins it;
+    # one closer by more than that replaces it.
     grad_star = lp.candidates[candidate].grad
-    nearest_mass = 0.0
-    for j, var in enumerate(lp.variables):
-        if sol.pi[j] == 0.0:
-            continue
-        target = grad_star[var.node]
-        best = None
-        best_dist = np.inf
-        for wi, wp in enumerate(lp.w_grid):
-            if wp.candidate is None:
-                w_vec = np.zeros(lp.grid.d)
-            else:
-                w_vec = wp.scale * lp.candidates[wp.candidate].grad[var.node]
-            dist = float(np.linalg.norm(w_vec - target))
-            if dist < best_dist - 1e-15:
-                best_dist = dist
-                best = {wi}
-            elif dist <= best_dist + 1e-15:
-                best.add(wi)
-        if var.wpoint in best:
-            nearest_mass += sol.pi[j]
+    best_dist = np.full(lp.grid.n, np.inf)
+    nearest = np.zeros((len(lp.w_grid), lp.grid.n), dtype=bool)
+    for wi, wp in enumerate(lp.w_grid):
+        w = 0.0 if wp.candidate is None else wp.scale * lp.candidates[wp.candidate].grad
+        dist = np.linalg.norm(w - grad_star, axis=1)
+        closer = dist < best_dist - 1e-15
+        nearest[:, closer] = False
+        nearest[wi] = closer | (dist <= best_dist + 1e-15)
+        best_dist = np.where(closer, dist, best_dist)
+    nearest_mass = _ordered_sum(sol.pi, nearest[lp.wpoint, lp.node])
 
     return {
         "tv_to_mu_tilde": tv,
         "tv_tol": tv_tol,
         "tv_ok": bool(tv <= tv_tol),
         "mass_on_policy": frac_policy,
-        "mass_on_nearest_w": float(nearest_mass),
+        "mass_on_nearest_w": nearest_mass,
         "mass_tol": mass_tol,
         "policy_mass_ok": bool(frac_policy >= mass_tol),
         "w_mass_ok": bool(nearest_mass >= mass_tol),
@@ -426,13 +370,12 @@ def export_mps(lp: OccupationLP, path: str, name: str = "EXITRATE") -> None:
         lines.append(f" E  S{y:07d}")
     lines.append(" E  MASS")
     lines.append("COLUMNS")
-    for j, var in enumerate(lp.variables):
+    scaled = lp.rows * lp.row_scale
+    for j in range(lp.n_variables):
         col = f"X{j:07d}"
-        entries = [("COST", var.cost)]
-        entries += [
-            (f"S{int(y):07d}", float(v) * lp.row_scale)
-            for y, v in zip(var.row_cols, var.row_vals)
-        ]
+        span = slice(scaled.indptr[j], scaled.indptr[j + 1])
+        entries = [("COST", lp.c[j])]
+        entries += [(f"S{y:07d}", v) for y, v in zip(scaled.indices[span], scaled.data[span])]
         entries.append(("MASS", 1.0))
         for k in range(0, len(entries), 2):
             pair = entries[k : k + 2]
@@ -459,15 +402,13 @@ def export_solution_csv(sol: OccupationSolution, path: str, threshold: float = 0
         + ["cost", "mass"]
     )
     rows = []
-    for j, var in enumerate(lp.variables):
-        if sol.pi[j] <= threshold:
-            continue
-        wp = lp.w_grid[var.wpoint]
+    for j in np.flatnonzero(sol.pi > threshold):
+        x, wp = lp.node[j], lp.w_grid[lp.wpoint[j]]
         rows.append(
-            [var.node]
-            + list(lp.grid.nodes[var.node])
-            + [var.action, wp.label, wp.scale]
-            + list(var.nominal_w)
-            + [var.cost, sol.pi[j]]
+            [x]
+            + list(lp.grid.nodes[x])
+            + [lp.action[j], wp.label, wp.scale]
+            + list(lp.nominal_w[j])
+            + [lp.c[j], sol.pi[j]]
         )
     write_csv(path, header, rows)

@@ -160,9 +160,7 @@ def _c4_exact_conjugation(cfg: dict) -> dict:
 
 
 def _optimal_generator(prob, h: float, tol: float):
-    """Best-surviving policy's (grid, generator, pair); constant if one action."""
-    if prob.n_actions == 1:
-        return _solve_const(prob, h, action=0, tol=tol) + (None,)
+    """Best-surviving policy's (grid, generator, pair, policy)."""
     trace = policy_iteration(prob, h, mode="MAX", tol=tol)
     return trace.grid, trace.final_generator, trace.final_pair, trace.final_policy
 
@@ -322,7 +320,7 @@ def _c11_lyapunov(cfg: dict) -> dict:
         prob = validate_problem(spec)
         h = 1.0 / 64 if prob.dim == 1 else 1.0 / 32
         _, gen, pair, policy = _optimal_generator(prob, h, cfg["tol"])
-        cert = lyapunov_certificate(prob, h, policy if policy is not None else 0, tol=cfg["tol"])
+        cert = lyapunov_certificate(prob, h, policy, tol=cfg["tol"])
         model = doob_transform(gen, pair)
         pointwise = cert.check(model.g_tilde)
         ok = ok and cert.rho > 0 and pointwise
@@ -459,18 +457,10 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
         den = 2.0 * float(np.sum(pair.psi * alpha))
         return v_log, num / den
 
-    policies: list[np.ndarray] = []
-    if prob.n_actions == 1:
-        policies.append(np.zeros(grid.n, dtype=int))
-        lam_star = None
-    else:
-        tr_max = policy_iteration(prob, h, mode="MAX", tol=tol, grid=grid)
-        tr_min = policy_iteration(prob, h, mode="MIN", tol=tol, grid=grid)
-        lam_star = tr_max.lam
-        policies.append(np.asarray(tr_max.final_policy))
-        policies.append(np.asarray(tr_min.final_policy))
-        for u in range(prob.n_actions):
-            policies.append(np.full(grid.n, u, dtype=int))
+    tr_max = policy_iteration(prob, h, mode="MAX", tol=tol, grid=grid)
+    tr_min = policy_iteration(prob, h, mode="MIN", tol=tol, grid=grid)
+    policies = [tr_max.final_policy, tr_min.final_policy]
+    policies += [np.full(grid.n, u, dtype=int) for u in range(prob.n_actions)]
 
     seen = set()
     log_vals = []
@@ -485,8 +475,6 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
         v_log, v_psi = both_forms(gen, pair)
         log_vals.append(v_log)
         psi_vals.append(v_psi)
-        if lam_star is None:
-            lam_star = pair.lam
 
     values = [log_vals[0], min(log_vals), psi_vals[0], min(psi_vals)]
     pairwise = max(
@@ -495,7 +483,7 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
     return {
         "values": values,
         "max_pairwise_rel_diff": pairwise,
-        "lam_star": lam_star,
+        "lam_star": tr_max.lam,
         "n_policies": len(log_vals),
     }
 

@@ -13,7 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from exitrate import _util, mc
+from exitrate import _util, mc, variational
+from exitrate.control import policy_iteration
 from exitrate.eigen import principal_eigenpair
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import ProblemSpec, problem_by_name, validate_problem
@@ -81,3 +82,26 @@ def test_confined_process_evaluates_only_point_dependent_sigma():
     assert _confined_sigma_spans(bm, 1.0 / 16, [0.5]) == []
     varying = ProblemSpec("varying", 1, ((0.0, 1.0),), ("0",), (("0",),), ("1+0.5*x1",))
     assert len(_confined_sigma_spans(varying, 1.0 / 16, [0.5])) >= 10
+
+
+def test_occupation_lp_counters_are_pinned(bang_bang):
+    # The lp-enum counters read the LP's size and the simplex's pivot count;
+    # the occupation program at bang-bang h=1/8 (criterion 10's instance)
+    # keeps these exact values whatever its storage layout.
+    h = 1.0 / 8
+    grid = build_grid(bang_bang, h)
+    cands = [
+        variational.candidate_from_trace(name, policy_iteration(bang_bang, h, mode=mode, grid=grid))
+        for name, mode in (("stay", "MAX"), ("leave", "MIN"))
+    ]
+    w_grid = variational.build_w_grid(grid, cands)
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        variational.solve_lp(variational.build_occupation_lp(grid, bang_bang, w_grid, cands))
+    finally:
+        tr.remove()
+    counters = tracer.aggregate(tr.spans)
+    assert counters["variational.build_occupation_lp.n_variables"] == 210
+    assert counters["variational.solve_lp.pivots"] == 110
+    assert counters["variational.solve_lp.tableau_bytes"] == 8 * 17 * 227

@@ -10,14 +10,14 @@ from exitrate.eigen import principal_eigenpair
 from exitrate.errors import Infeasible, TooLarge
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import ProblemSpec
-from exitrate.qprocess import doob_transform, stationary_measures
+from exitrate.qprocess import doob_transform, null_vector, stationary_measures
+from exitrate.simplex import solve_standard_lp
 from exitrate.variational import (
     build_occupation_lp,
     build_w_grid,
     candidate_from_trace,
     export_mps,
     export_solution_csv,
-    fixed_policy_lp,
     generator_pairing,
     solve_lp,
     transform_point,
@@ -59,9 +59,6 @@ def test_single_node_value_is_the_kill_rate(bm_interval):
     lp = build_occupation_lp(grid, bm_interval, build_w_grid(grid, [cand]), [cand])
     sol = solve_lp(lp)
     assert sol.value == pytest.approx(4.0, abs=1e-12)
-    var = lp.variables[int(np.argmax(sol.pi))]
-    sig = bm_interval.sigma(grid.nodes)[0]
-    assert 0.5 * float(np.sum((sig * var.effective_w) ** 2)) == pytest.approx(var.cost, abs=1e-12)
 
 
 def test_occupation_value_matches_the_optimal_rate(bang_bang, bang_bang_lp):
@@ -133,10 +130,19 @@ def test_fixed_policy_program_prices_that_policy(bang_bang):
         generator=gen,
         grad=discrete_gradient(grid, np.log(pair.psi), extension="log-zero"),
     )
-    lp, sol = fixed_policy_lp(grid, bang_bang, policy, [own])
+    lp = build_occupation_lp(grid, bang_bang, build_w_grid(grid, [own]), [own], policy=policy)
+    sol = solve_lp(lp)
     assert sol.value == pytest.approx(pair.lam, rel=1e-6)
     # The fixed-policy value cannot undercut the optimum over all policies.
     assert sol.value > policy_iteration(bang_bang, h, mode="MAX", grid=grid).lam
+
+
+def test_fixed_policy_program_rejects_an_unknown_action(bang_bang):
+    grid = build_grid(bang_bang, 0.25)
+    w_grid = build_w_grid(grid, [])
+    for bad in (2, -1):
+        with pytest.raises(ValueError, match="out-of-range"):
+            build_occupation_lp(grid, bang_bang, w_grid, [], policy=np.full(grid.n, bad))
 
 
 def test_doubling_sigma_quadruples_every_cost():
@@ -148,7 +154,7 @@ def test_doubling_sigma_quadruples_every_cost():
         cand = candidate_from_trace("c", policy_iteration(prob, 0.25, grid=grid))
         lps.append(build_occupation_lp(grid, prob, build_w_grid(grid, [cand]), [cand]))
     # Identical variable ordering; a = sigma^2 scales every rate and cost by 4.
-    assert [v.wpoint for v in lps[0].variables] == [v.wpoint for v in lps[1].variables]
+    np.testing.assert_array_equal(lps[0].wpoint, lps[1].wpoint)
     np.testing.assert_allclose(lps[1].c, 4.0 * lps[0].c, rtol=1e-8, atol=1e-12)
 
 
@@ -170,8 +176,9 @@ def test_lp_exports(tmp_path, bang_bang_lp):
     grid, cands, lp, sol = bang_bang_lp
     # Costs whose 10-digit form overflows the 12-column field, one way or another.
     extremes = (1.2345678901e-5, -1.2345678901e-5, 6.02e23)
-    variables = [dataclasses.replace(v, cost=c) for v, c in zip(lp.variables, extremes)]
-    lp = dataclasses.replace(lp, variables=variables + lp.variables[len(extremes) :])
+    c = lp.c.copy()
+    c[: len(extremes)] = extremes
+    lp = dataclasses.replace(lp, c=c)
     mps = tmp_path / "occ.mps"
     export_mps(lp, str(mps))
     text = mps.read_text()
@@ -180,10 +187,12 @@ def test_lp_exports(tmp_path, bang_bang_lp):
     # Every (column, row) value of the fixed-column COLUMNS section parses
     # back to the LP's coefficient.
     expected = {}
-    for j, var in enumerate(lp.variables):
+    rows = lp.rows
+    for j in range(lp.n_variables):
         col = f"X{j:07d}"
-        expected[col, "COST"] = var.cost
-        for y, v in zip(var.row_cols, var.row_vals):
+        expected[col, "COST"] = lp.c[j]
+        span = slice(rows.indptr[j], rows.indptr[j + 1])
+        for y, v in zip(rows.indices[span], rows.data[span]):
             expected[col, f"S{int(y):07d}"] = float(v) * lp.row_scale
         expected[col, "MASS"] = 1.0
     lines = text.splitlines()
@@ -203,3 +212,213 @@ def test_lp_exports(tmp_path, bang_bang_lp):
     lines = csv.read_text().splitlines()
     assert len(lines) >= 2
     assert lines[0].startswith("node")
+
+
+# Reference: the per-variable layout the array program replaced.  Each
+# variable carries its own tilted generator row, and every consumer loops over
+# the variables.  The simplex's Bland path, and so the vertex it returns,
+# depends on every column's values and order, so the array program must
+# reproduce this one bit for bit.
+
+
+@dataclasses.dataclass(frozen=True)
+class _RefVariable:
+    node: int
+    action: int
+    wpoint: int
+    cost: float
+    nominal_w: np.ndarray
+    row_cols: np.ndarray
+    row_vals: np.ndarray
+
+
+@dataclasses.dataclass
+class _RefLP:
+    grid: object
+    w_grid: tuple
+    candidates: tuple
+    variables: list
+    index: dict
+    a_eq: np.ndarray
+    b_eq: np.ndarray
+    c: np.ndarray
+
+
+def _ref_tilted_row(off_cols, off_vals, killed, node, psi_log, scale):
+    z = scale * (psi_log[off_cols] - psi_log[node])
+    q = off_vals * np.exp(z)
+    cost = float(np.sum(q * z - q + off_vals) + killed)
+    cols = np.concatenate([off_cols, [node]])
+    vals = np.concatenate([q, [-q.sum()]])
+    return cols, vals, max(cost, 0.0)
+
+
+def _ref_build(grid, problem, w_grid, candidates, policy=None):
+    n = grid.n
+    rows_by_action = []
+    for u in range(problem.n_actions):
+        gen = assemble_generator(grid, problem, u)
+        mat = gen.matrix
+        idx = np.split(mat.indices, mat.indptr[1:-1])
+        val = np.split(mat.data, mat.indptr[1:-1])
+        rows_by_action.append((idx, val, gen.killed))
+    variables, index = [], {}
+    for x in range(n):
+        actions = (int(policy[x]),) if policy is not None else range(problem.n_actions)
+        for u in actions:
+            idx, val, killed_vec = rows_by_action[u]
+            cols_u, vals_u = idx[x], val[x]
+            off = cols_u != x
+            for wi, wp in enumerate(w_grid):
+                if wp.candidate is None:
+                    cols, vals, cost = cols_u, vals_u, 0.0
+                    nominal = np.zeros(grid.d)
+                else:
+                    cand = candidates[wp.candidate]
+                    cols, vals, cost = _ref_tilted_row(
+                        cols_u[off], vals_u[off], float(killed_vec[x]), x, cand.psi_log, wp.scale
+                    )
+                    nominal = wp.scale * cand.grad[x]
+                index[(x, u, wi)] = len(variables)
+                variables.append(
+                    _RefVariable(x, u, wi, cost, nominal, np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=float))
+                )
+    a_eq = np.zeros((n + 1, len(variables)))
+    for j, var in enumerate(variables):
+        a_eq[var.row_cols, j] = var.row_vals * grid.h**2
+    a_eq[n, :] = 1.0
+    b_eq = np.zeros(n + 1)
+    b_eq[n] = 1.0
+    c = np.array([var.cost for var in variables])
+    return _RefLP(grid, tuple(w_grid), tuple(candidates), variables, index, a_eq, b_eq, c)
+
+
+def _ref_node_marginal(ref, pi):
+    marg = np.zeros(ref.grid.n)
+    for j, var in enumerate(ref.variables):
+        marg[var.node] += pi[j]
+    return marg
+
+
+def _ref_mass_on_policy(ref, pi, policy):
+    total = 0.0
+    for j, var in enumerate(ref.variables):
+        if var.action == policy[var.node]:
+            total += pi[j]
+    return float(total)
+
+
+def _ref_transform_point(ref, candidate, policy):
+    n = ref.grid.n
+    wi = next(i for i, wp in enumerate(ref.w_grid) if wp.candidate == candidate and wp.scale == 1.0)
+    picks = [ref.index[(x, int(policy[x]), wi)] for x in range(n)]
+    q = np.zeros((n, n))
+    for x, j in enumerate(picks):
+        var = ref.variables[j]
+        q[x, var.row_cols] = var.row_vals
+    mu = null_vector(q, int(np.argmax(ref.candidates[candidate].psi_log)))
+    pi = np.zeros(len(ref.variables))
+    pi[picks] = mu
+    resid = float(np.abs(ref.a_eq @ pi - ref.b_eq).max())
+    return pi, float(ref.c @ pi), resid
+
+
+def _ref_structure(ref, pi, mu_tilde, policy, candidate, tv_tol=0.05, mass_tol=0.95):
+    marg = _ref_node_marginal(ref, pi)
+    tv = 0.5 * float(np.abs(marg - mu_tilde).sum())
+    frac_policy = _ref_mass_on_policy(ref, pi, policy)
+    grad_star = ref.candidates[candidate].grad
+    nearest_mass = 0.0
+    for j, var in enumerate(ref.variables):
+        if pi[j] == 0.0:
+            continue
+        target = grad_star[var.node]
+        best, best_dist = None, np.inf
+        for wi, wp in enumerate(ref.w_grid):
+            if wp.candidate is None:
+                w_vec = np.zeros(ref.grid.d)
+            else:
+                w_vec = wp.scale * ref.candidates[wp.candidate].grad[var.node]
+            dist = float(np.linalg.norm(w_vec - target))
+            if dist < best_dist - 1e-15:
+                best_dist, best = dist, {wi}
+            elif dist <= best_dist + 1e-15:
+                best.add(wi)
+        if var.wpoint in best:
+            nearest_mass += pi[j]
+    return {
+        "tv_to_mu_tilde": tv,
+        "tv_tol": tv_tol,
+        "tv_ok": bool(tv <= tv_tol),
+        "mass_on_policy": frac_policy,
+        "mass_on_nearest_w": float(nearest_mass),
+        "mass_tol": mass_tol,
+        "policy_mass_ok": bool(frac_policy >= mass_tol),
+        "w_mass_ok": bool(nearest_mass >= mass_tol),
+        "all_ok": bool(tv <= tv_tol and frac_policy >= mass_tol and nearest_mass >= mass_tol),
+    }
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, h",
+    [
+        ("bang_bang", 1 / 8),
+        ("bang_bang", 1 / 16),
+        ("bang_bang", 2 / 11),
+        ("bang_bang", 1 / 64),
+        ("rect_2d", 1 / 4),
+        ("bm_interval", 1 / 2),
+    ],
+)
+@pytest.mark.parametrize("fixed", [False, True], ids=["full", "fixed-policy"])
+def test_array_program_matches_the_per_variable_reference(request, name, h, fixed):
+    prob = request.getfixturevalue(name)
+    grid = build_grid(prob, h)
+    tr_max = policy_iteration(prob, h, mode="MAX", grid=grid)
+    tr_min = policy_iteration(prob, h, mode="MIN", grid=grid)
+    cands = [candidate_from_trace("stay", tr_max), candidate_from_trace("leave", tr_min)]
+    w_grid = build_w_grid(grid, cands)
+    policy = tr_max.final_policy
+    lp = build_occupation_lp(grid, prob, w_grid, cands, policy=policy if fixed else None)
+    ref = _ref_build(grid, prob, w_grid, cands, policy=policy if fixed else None)
+
+    # toarray() adds each entry into a zero, so a stored -0.0 reads as 0.0.
+    np.testing.assert_array_equal(lp.a_eq.toarray(), ref.a_eq)
+    assert _same_bits(lp.b_eq, ref.b_eq)
+    assert _same_bits(lp.c, ref.c)
+    for field in ("node", "action", "wpoint"):
+        assert _same_bits(getattr(lp, field), np.array([getattr(v, field) for v in ref.variables], dtype=np.int64))
+    assert _same_bits(lp.nominal_w, np.array([v.nominal_w for v in ref.variables]))
+    # Each column holds its row's entries in the reference order (the MPS
+    # export writes them in that order).
+    for j, var in enumerate(ref.variables):
+        span = slice(lp.rows.indptr[j], lp.rows.indptr[j + 1])
+        np.testing.assert_array_equal(lp.rows.indices[span], var.row_cols)
+        assert _same_bits(lp.rows.data[span], var.row_vals)
+
+    sol = solve_lp(lp)
+    res = solve_standard_lp(ref.a_eq, ref.b_eq, ref.c)
+    assert sol.value == res.value and sol.iterations == res.iterations
+    assert _same_bits(sol.pi, res.x) and _same_bits(sol.duals, res.duals)
+
+    tp = transform_point(lp, 0, policy)
+    ref_pi, ref_objective, ref_resid = _ref_transform_point(ref, 0, policy)
+    assert _same_bits(tp.pi, ref_pi)
+    assert tp.objective == ref_objective
+    # The residual now sums each row's nonzeros in column order, where the
+    # dense product summed whole rows, so only its last bits may move.
+    assert tp.stationarity_residual == pytest.approx(ref_resid, abs=1e-14)
+
+    assert _same_bits(sol.node_marginal(), _ref_node_marginal(ref, sol.pi))
+    for pol in (policy, tr_min.final_policy):
+        assert sol.mass_on_policy(pol) == _ref_mass_on_policy(ref, sol.pi, pol)
+    model = doob_transform(tr_max.final_generator, tr_max.final_pair)
+    mu, _ = stationary_measures(tr_max.final_generator, model, tr_max.final_pair)
+    for pi in (sol.pi, tp.pi):
+        got = verify_minimizer_structure(dataclasses.replace(sol, pi=pi), mu, policy, candidate=0)
+        assert got == _ref_structure(ref, pi, mu, policy, 0)
