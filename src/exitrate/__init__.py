@@ -24,7 +24,6 @@ from .errors import (
     Unbounded,
 )
 from .problems import (
-    PolicySpec,
     ProblemSpec,
     ValidatedProblem,
     builtin_catalog,
@@ -75,7 +74,6 @@ __all__ = [
     "NonPositiveEigenvector",
     "NullVectorNotUnique",
     "PolicyIterationTrace",
-    "PolicySpec",
     "ProblemSpec",
     "QProcessModel",
     "SurvivalReport",

@@ -1,4 +1,4 @@
-"""Small shared helpers: thread pool sizing, deterministic maps, stable IO."""
+"""Small shared helpers: thread pool sizing, random streams, deterministic maps, stable IO."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 THREADS_ENV = "EXITRATE_THREADS"
+_MASK = (1 << 64) - 1
 
 
 def worker_count() -> int:
@@ -24,6 +25,12 @@ def worker_count() -> int:
             raise ValueError(f"{THREADS_ENV} must be >= 1, got {n}")
         return n
     return os.cpu_count() or 1
+
+
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, stream), each taken modulo 2^64."""
+    key = np.array([seed & _MASK, stream & _MASK], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def ordered_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:

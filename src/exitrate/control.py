@@ -1,15 +1,17 @@
 """Policy iteration for the semilinear exit-rate eigenproblems.
 
-MAX mode solves the operator that maximizes the drift term pointwise (its
-eigenvalue lambda* is the optimal exit rate, the minimum over policies);
-MIN mode the pointwise minimizer (eigenvalue lambda_lower-star, the maximum
-over policies).  Improvement acts on the gradient of log Psi, which is
-scale-free and matches the conditioned-process drift.
+MAX mode maximizes (G_u Psi)(x) over the actions u at every node, so its
+eigenvalue lambda* is the optimal exit rate, the minimum over policies; MIN
+mode minimizes it and reaches lambda_lower-star, the maximum over policies.
+Improvement scores each action by the rows of its own constant-action
+generator, the monotone stencil that evaluation solves, and is scale-free
+in Psi.  An exhaustive enumeration oracle checks small lattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +28,10 @@ ENUMERATION_CHUNK = 4096
 # hundred times lambda; this relative gap is well above that and is the
 # enumeration's tie tolerance.
 TIE_RTOL = 1e-12
+MAX_SWEEPS = 500
+# hjb_residual's core: nodes farther than this share of the smallest side
+# from the boundary.
+HJB_MARGIN_FRAC = 0.125
 
 
 @dataclass(frozen=True)
@@ -58,16 +64,18 @@ class PolicyIterationTrace:
 
 
 def policy_improve(
-    grid: Grid,
-    problem,
+    generators: Sequence[sp.spmatrix],
     psi: np.ndarray,
     mode: str = "MAX",
     current: np.ndarray | None = None,
     slack: float = 0.0,
 ) -> np.ndarray:
-    """Pointwise argmax/argmin over actions of <m(x,u), grad log psi>.
+    """Pointwise argmax/argmin over actions u of (G_u psi)(x) / psi(x).
 
-    Ties resolve to the lowest action index (argmax/argmin first hit).  When
+    generators[u] is the constant-action generator of action u.  Row x of a
+    policy's generator is row x of the generator of its action at x, so the
+    scores compare exactly the rows that evaluation solves with.  Ties
+    resolve to the lowest action index (argmax/argmin first hit).  When
     `current` is given, a node keeps its action unless the winner beats it by
     more than `slack`; this damps roundoff-level tie flapping near symmetric
     eigenfunctions without hiding genuine improvements.
@@ -77,18 +85,14 @@ def policy_improve(
     psi = np.asarray(psi, dtype=float)
     if np.any(psi <= 0):
         raise ValueError("policy_improve requires a strictly positive field")
-    g = discrete_gradient(grid, np.log(psi), extension="log-zero")
-    scores = np.empty((grid.n, problem.n_actions))
-    for k in range(problem.n_actions):
-        mk = problem.drift(grid.nodes, k)
-        scores[:, k] = np.sum(mk * g, axis=1)
+    scores = np.column_stack([(g @ psi) / psi for g in generators])
     if mode == "MIN":
         scores = -scores
     winner = np.argmax(scores, axis=1)
     if current is None:
         return winner
     current = np.asarray(current, dtype=int)
-    rows = np.arange(grid.n)
+    rows = np.arange(len(psi))
     margin = scores[rows, winner] - scores[rows, current]
     keep = margin <= slack * np.maximum(1.0, np.abs(scores[rows, winner]))
     return np.where(keep, current, winner)
@@ -101,29 +105,31 @@ def policy_iteration(
     tol: float = 1e-10,
     grid: Grid | None = None,
     potential: np.ndarray | None = None,
-    max_sweeps: int = 500,
 ) -> PolicyIterationTrace:
     """Alternate eigensolve and improvement until the policy is a fixed point.
 
     An optional potential q (per-node, nonnegative) solves the eigenproblem of
     G_v - diag(q) instead; the improvement rule is unchanged since the
-    potential does not depend on the action.
+    potential adds the same -q(x) to every action's score.
     """
     if grid is None:
         grid = build_grid(problem, h)
+    actions = [assemble_generator(grid, problem, u) for u in range(problem.n_actions)]
+    matrices = [a.matrix for a in actions]
     trace = PolicyIterationTrace(mode=mode, grid=grid)
     v = np.zeros(grid.n, dtype=int)
-    seen: set[tuple[int, ...]] = set()
+    seen: dict[tuple[int, ...], float] = {}
     prev: tuple[int, ...] | None = None
-    for _ in range(max_sweeps):
+    for sweep in range(1, MAX_SWEEPS + 1):
         key = tuple(int(x) for x in v)
-        seen.add(key)
-        gen = assemble_generator(grid, problem, v)
+        # The first policy is the constant action 0.
+        gen = actions[0] if prev is None else assemble_generator(grid, problem, v)
         mat = gen.matrix if potential is None else gen.matrix - sp.diags(potential)
         pair = principal_eigenpair(mat, tol=tol)
+        seen[key] = pair.lam
         changes = 0 if prev is None else int(np.sum(np.asarray(prev) != v))
         trace.steps.append(PolicyIterationStep(key, pair.lam, pair.cw_interval, changes))
-        v_new = policy_improve(grid, problem, pair.psi, mode, current=v, slack=100.0 * tol)
+        v_new = policy_improve(matrices, pair.psi, mode, current=v, slack=100.0 * tol)
         new_key = tuple(int(x) for x in v_new)
         if new_key == key:
             trace.converged = True
@@ -132,10 +138,18 @@ def policy_iteration(
             trace.final_generator = gen
             return trace
         if new_key in seen:
-            raise NoConvergence("policy iteration entered a cycle (tie-break instability)")
+            raise NoConvergence(
+                f"policy iteration entered a cycle at sweep {sweep}: the policy at lambda "
+                f"{pair.lam!r} flips {int(np.sum(v_new != v))} nodes back to an earlier "
+                f"policy at lambda {seen[new_key]!r}"
+            )
         prev = key
         v = v_new
-    raise NoConvergence(f"policy iteration did not converge in {max_sweeps} sweeps")
+    last = trace.steps[-1]
+    raise NoConvergence(
+        f"policy iteration did not converge in {MAX_SWEEPS} sweeps: last lambda "
+        f"{last.lam!r} after {last.n_changes} node changes"
+    )
 
 
 def _policies(first: int, stop: int, k: int, n: int) -> np.ndarray:
@@ -206,13 +220,13 @@ def enumerate_policies(problem, h: float, tol: float = 1e-10) -> tuple[float, np
     return pair.lam, policy, count
 
 
-def hjb_residual(problem, h: float, mode: str = "MAX", tol: float = 1e-10, margin_frac: float = 0.125) -> float:
+def hjb_residual(problem, h: float, mode: str = "MAX", tol: float = 1e-10) -> float:
     """Sup-norm defect of the log-eigenfunction identity on an interior core.
 
     At the optimal policy, (L psi)(x) + 0.5 |sigma^T grad psi|^2 + lambda
-    should vanish; it is evaluated on nodes at distance >= margin_frac times
-    the smallest side from the boundary, where the full stencil applies and
-    the field is smooth.
+    should vanish; it is evaluated on nodes farther than HJB_MARGIN_FRAC
+    times the smallest side from the boundary, where the full stencil applies
+    and the field is smooth.
     """
     trace = policy_iteration(problem, h, mode=mode, tol=tol)
     grid = trace.grid
@@ -223,7 +237,7 @@ def hjb_residual(problem, h: float, mode: str = "MAX", tol: float = 1e-10, margi
     quad = 0.5 * np.sum((sig * g) ** 2, axis=1)
     lin = trace.final_generator.matrix @ psi_log
     resid = lin + quad + trace.lam
-    margin = margin_frac * float(np.min(problem.hi - problem.lo))
+    margin = HJB_MARGIN_FRAC * float(np.min(problem.hi - problem.lo))
     mask = grid.interior_mask(margin)
     if not np.any(mask):
         raise ValueError("margin leaves no nodes to evaluate the residual on")

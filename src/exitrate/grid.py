@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonconformingSpacing, NonFiniteCoefficient
-from .problems import PolicySpec, ProblemSpec
+from .problems import ProblemSpec
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,6 @@ class Grid:
     @property
     def d(self) -> int:
         return len(self.dims)
-
-    @property
-    def boundary_adjacency(self) -> np.ndarray:
-        """(n, d, 2) boolean: which stencil arms exit the domain."""
-        return self.neighbor_table < 0
 
     def dist_boundary(self) -> np.ndarray:
         """Distance from each node to the box boundary (min over faces)."""
@@ -121,11 +116,9 @@ class Generator:
         return self.matrix.shape[0]
 
 
-def _policy_array(grid: Grid, problem: ProblemSpec, policy: int | PolicySpec | np.ndarray) -> np.ndarray:
+def _policy_array(grid: Grid, problem: ProblemSpec, policy: int | np.ndarray) -> np.ndarray:
     if isinstance(policy, (int, np.integer)):
         arr = np.full(grid.n, int(policy), dtype=int)
-    elif isinstance(policy, PolicySpec):
-        arr = policy.array
     else:
         arr = np.asarray(policy, dtype=int)
     if arr.shape != (grid.n,):
@@ -135,7 +128,7 @@ def _policy_array(grid: Grid, problem: ProblemSpec, policy: int | PolicySpec | n
     return arr
 
 
-def drift_under_policy(grid: Grid, problem: ProblemSpec, policy: int | PolicySpec | np.ndarray) -> np.ndarray:
+def drift_under_policy(grid: Grid, problem: ProblemSpec, policy: int | np.ndarray) -> np.ndarray:
     """(n, d) drift values m(x, v(x)) at the grid nodes."""
     assign = _policy_array(grid, problem, policy)
     m = np.empty((grid.n, grid.d), dtype=float)
@@ -210,7 +203,7 @@ def monotone_stencil(
     return mat, killed
 
 
-def assemble_generator(grid: Grid, problem: ProblemSpec, policy: int | PolicySpec | np.ndarray) -> Generator:
+def assemble_generator(grid: Grid, problem: ProblemSpec, policy: int | np.ndarray) -> Generator:
     """Assemble the killed rate matrix for the given policy (or single action)."""
     m = drift_under_policy(grid, problem, policy)
     sig = problem.sigma(grid.nodes)
@@ -259,11 +252,3 @@ def discrete_gradient(grid: Grid, field: np.ndarray, extension: str = "log-zero"
 def default_spacing(problem: ProblemSpec) -> float:
     """Default grid spacing: 1/64 in d=1, 1/32 in d=2."""
     return 1.0 / 64.0 if problem.dim == 1 else 1.0 / 32.0
-
-
-def export_coo(gen: Generator, path: str) -> None:
-    """Write the rate matrix as 'row col value' triplets."""
-    coo = gen.matrix.tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i} {j} {float(v)!r}\n")

@@ -25,25 +25,21 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.random import Generator as RandomGenerator
-from numpy.random import Philox
 
 from .errors import TooFewSurvivors, TooLargeForDense
 from .grid import Generator, Grid, discrete_gradient
 from .problems import _compiled
-from ._util import ordered_map, write_csv
+from .qprocess import DENSE_CAP
+from ._util import ordered_map, philox, write_csv
 
 SHARD = 32768
-DENSE_CTMC_CAP = 2000
-_MASK = (1 << 64) - 1
 _STREAM_QPROCESS = 0x900000000
 _STREAM_BOOTSTRAP = 0xB00000000
 _STREAM_CTMC = 0xC00000000
-
-
-def _philox(seed: int, stream: int) -> RandomGenerator:
-    key = np.array([seed & _MASK, stream & _MASK], dtype=np.uint64)
-    return RandomGenerator(Philox(key=key))
+# estimate_exit_rate: survival is fitted at this many evenly spaced times,
+# and its stderr comes from this many bootstrap resamples of the paths.
+RATE_FIT_POINTS = 41
+BOOTSTRAP_RESAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -131,7 +127,7 @@ def simulate_killed(
 
     def run_shard(shard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         count = min(SHARD, n_paths - shard * SHARD)
-        rng = _philox(seed, shard)
+        rng = philox(seed, shard)
         x = np.tile(x0, (count, 1))
         alive = np.arange(count)
         exit_times = np.full(count, horizon)
@@ -177,13 +173,6 @@ def simulate_killed(
     )
 
 
-def survival(ensemble: TrajectoryEnsemble, t: float) -> float:
-    if t > ensemble.horizon + 1e-12:
-        raise ValueError("cannot evaluate survival beyond the horizon")
-    alive = ensemble.censored | (ensemble.exit_times > t)
-    return float(alive.mean())
-
-
 @dataclass(frozen=True)
 class RateEstimate:
     rate: float
@@ -195,8 +184,6 @@ class RateEstimate:
 def estimate_exit_rate(
     ensemble: TrajectoryEnsemble,
     fit_window: tuple[float, float] = (0.5, 1.5),
-    n_points: int = 41,
-    n_boot: int = 200,
 ) -> RateEstimate:
     """Least-squares slope of log survival; bootstrap over paths for stderr."""
 
@@ -204,16 +191,16 @@ def estimate_exit_rate(
     if not 0.0 <= t0 < t1 <= ensemble.horizon + 1e-12:
         raise ValueError("fit window must sit inside [0, horizon]")
     n = ensemble.n_paths
-    times = np.linspace(t0, t1, n_points)
+    times = np.linspace(t0, t1, RATE_FIT_POINTS)
     # A path in bin b exits in (times[b-1], times[b]]; censored paths sit
     # past the last time.  Survivors at times[j] are then n minus the
     # running count of bins 0..j, for the sample and for every resample.
     bins = np.where(
-        ensemble.censored, n_points, np.searchsorted(times, ensemble.exit_times, side="left")
+        ensemble.censored, RATE_FIT_POINTS, np.searchsorted(times, ensemble.exit_times, side="left")
     )
 
     def alive(picked: np.ndarray) -> np.ndarray:
-        return n - np.cumsum(np.bincount(picked, minlength=n_points + 1)[:n_points])
+        return n - np.cumsum(np.bincount(picked, minlength=RATE_FIT_POINTS + 1)[:RATE_FIT_POINTS])
 
     def log_survival(counts: np.ndarray) -> np.ndarray:
         return np.log(np.maximum(counts, 1) / n)
@@ -230,9 +217,9 @@ def estimate_exit_rate(
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
-    rng = _philox(ensemble.seed, _STREAM_BOOTSTRAP)
-    slopes = np.empty(n_boot)
-    for b in range(n_boot):
+    rng = philox(ensemble.seed, _STREAM_BOOTSTRAP)
+    slopes = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, n, n)
         slopes[b] = np.polyfit(times, log_survival(alive(bins[pick])), 1)[0]
     return RateEstimate(
@@ -350,7 +337,7 @@ def simulate_qprocess(
     drift, sigma = _coefficients(problem, policy, grid)
     n_steps = int(round(T / dt))
     horizon = n_steps * dt
-    rng = _philox(seed, _STREAM_QPROCESS)
+    rng = philox(seed, _STREAM_QPROCESS)
 
     def propose(xs: np.ndarray, near: np.ndarray, step, sq) -> np.ndarray:
         s = sigma(xs)
@@ -433,8 +420,8 @@ def _dense_rates(generator) -> tuple[np.ndarray, np.ndarray]:
         mat = generator.toarray() if sp.issparse(generator) else np.array(generator, dtype=float)
         deficit = -mat.sum(axis=1)
         deficit[np.abs(deficit) < 1e-13] = 0.0
-    if mat.shape[0] > DENSE_CTMC_CAP:
-        raise TooLargeForDense(f"{mat.shape[0]} states exceeds the CTMC cap {DENSE_CTMC_CAP}")
+    if mat.shape[0] > DENSE_CAP:
+        raise TooLargeForDense(f"{mat.shape[0]} states exceeds the CTMC cap {DENSE_CAP}")
     return mat, deficit
 
 
@@ -472,7 +459,7 @@ def simulate_ctmc(
     rise_cum[rows, rank[rows, cols]] = cum[rows, cols]
     rise_col[rows, rank[rows, cols]] = cols
 
-    rng = _philox(seed, _STREAM_CTMC)
+    rng = philox(seed, _STREAM_CTMC)
     state = np.full(n_paths, int(x0_index), dtype=np.int64)
     t = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)

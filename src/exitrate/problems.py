@@ -102,21 +102,6 @@ class ValidatedProblem(ProblemSpec):
     lattice_n: int
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    """Stationary Markov policy: one action index per interior grid node."""
-
-    assignment: tuple[int, ...]
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.assignment, dtype=int)
-
-    @staticmethod
-    def from_array(values: Sequence[int]) -> "PolicySpec":
-        return PolicySpec(tuple(int(v) for v in values))
-
-
 def _spec_fields(spec: ProblemSpec) -> dict:
     """The ProblemSpec fields of spec, without any validation annotations."""
     return {f.name: getattr(spec, f.name) for f in dataclasses.fields(ProblemSpec)}

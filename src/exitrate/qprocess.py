@@ -8,7 +8,7 @@ row sums of G~ vanish only as well as the eigen residual allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.linalg import spsolve
 
+from ._util import philox
 from .control import policy_iteration
 from .eigen import EigenPair, check_irreducible, principal_eigenpair
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
@@ -33,6 +34,17 @@ from .grid import (
 from .problems import with_bounds
 
 DENSE_CAP = 2000
+# doob_transform refuses an eigenvector whose max/min ratio exceeds this.
+MAX_PSI_RATIO = 1e12
+# survival_asymptotics fits the TV decay only on values inside this range.
+TV_FIT_RANGE = (1e-11, 0.5)
+# Certificates enlarge the box by this share of each side (rounded to whole
+# cells, at least one) and cut off on a ball of this share of the smallest side.
+ENLARGEMENT = 0.25
+BALL_RADIUS_FRAC = 0.25
+# Cutoff widths tried in turn by the uniform certificate, as shares of the
+# smallest side.
+EPS_CUT_FRACS = (0.25, 0.375, 0.125)
 
 
 @dataclass
@@ -49,14 +61,14 @@ class QProcessModel:
     product_residual: float | None = None
 
 
-def doob_transform(gen: Generator | sp.spmatrix, pair: EigenPair, max_ratio: float = 1e12) -> QProcessModel:
+def doob_transform(gen: Generator | sp.spmatrix, pair: EigenPair) -> QProcessModel:
     """Exact discrete h-transform by the principal eigenvector."""
     mat = as_matrix(gen)
     psi = pair.psi
     ratio = float(psi.max() / psi.min())
-    if ratio > max_ratio:
+    if ratio > MAX_PSI_RATIO:
         raise IllConditioned(
-            f"max Psi / min Psi = {ratio:.3e} exceeds {max_ratio:.0e}; "
+            f"max Psi / min Psi = {ratio:.3e} exceeds {MAX_PSI_RATIO:.0e}; "
             "transform would amplify the eigen residual beyond tolerance"
         )
     inv = sp.diags(1.0 / psi)
@@ -192,7 +204,6 @@ def survival_asymptotics(
     pair: EigenPair,
     t_list: Sequence[float],
     x0_index: int,
-    fit_tv_range: tuple[float, float] = (1e-11, 0.5),
 ) -> SurvivalReport:
     """Scaled survival table, conditioned-law TV decay, and the t -> inf limit.
 
@@ -213,7 +224,7 @@ def survival_asymptotics(
         conditioned = row / survival
         tv = 0.5 * float(np.abs(conditioned - alpha).sum())
         rows.append((float(t), scaled, tv))
-        if fit_tv_range[0] < tv < fit_tv_range[1] and t > 0:
+        if TV_FIT_RANGE[0] < tv < TV_FIT_RANGE[1] and t > 0:
             tv_points.append((float(t), tv))
 
     limit = float(pair.psi[x0_index] * alpha.sum() / np.dot(alpha, pair.psi))
@@ -253,7 +264,7 @@ class LyapunovCertificate:
     rho: float
     K_mask: np.ndarray
     eps: float
-    details: dict = field(default=None)  # type: ignore[assignment]
+    ring_dominated: bool
 
     def check(self, g_tilde: sp.spmatrix, slack: float = 1e-9) -> bool:
         lhs = g_tilde @ self.V
@@ -261,11 +272,11 @@ class LyapunovCertificate:
         return bool(np.all(lhs <= rhs + slack * max(1.0, float(np.abs(lhs).max()))))
 
 
-def _enlarged_grid(problem, h: float, enlargement: float) -> tuple[Grid, object]:
+def _enlarged_grid(problem, h: float) -> tuple[Grid, object]:
     lo, hi = problem.lo, problem.hi
     new_bounds = []
     for k in range(len(lo)):
-        ext = max(1, int(round(enlargement * (hi[k] - lo[k]) / h))) * h
+        ext = max(1, int(round(ENLARGEMENT * (hi[k] - lo[k]) / h))) * h
         new_bounds.append((lo[k] - ext, hi[k] + ext))
     spec2 = with_bounds(problem, new_bounds)
     return build_grid(spec2, h), spec2
@@ -317,8 +328,6 @@ def lyapunov_certificate(
     problem,
     h: float,
     policy,
-    B_radius: float | None = None,
-    enlargement: float = 0.25,
     tol: float = 1e-10,
 ) -> LyapunovCertificate:
     """Constructive drift certificate for the conditioned chain of a policy.
@@ -334,13 +343,13 @@ def lyapunov_certificate(
     pair = principal_eigenpair(gen, tol=tol)
     model = doob_transform(gen, pair)
 
-    grid2, spec2 = _enlarged_grid(problem, h, enlargement)
+    grid2, spec2 = _enlarged_grid(problem, h)
     pol_arr = _policy_array(grid, problem, policy)
     pol2 = _extend_policy(grid, grid2, pol_arr)
     gen2 = assemble_generator(grid2, spec2, pol2)
 
     center = 0.5 * (problem.lo + problem.hi)
-    radius = B_radius if B_radius is not None else 0.25 * float(np.min(problem.hi - problem.lo))
+    radius = BALL_RADIUS_FRAC * float(np.min(problem.hi - problem.lo))
     b_mask2 = np.linalg.norm(grid2.nodes - center[None, :], axis=1) < radius
     if not np.any(b_mask2):
         raise NoCertificate(f"ball of radius {radius} contains no grid node")
@@ -358,13 +367,7 @@ def lyapunov_certificate(
         rho=rho,
         K_mask=k_mask,
         eps=eps,
-        details={
-            "lam": pair.lam,
-            "B_radius": radius,
-            "enlargement": enlargement,
-            "min_phi_on_D": float(phi_on_d.min()),
-            "ring_dominated": bool(eps <= h + 1e-12),
-        },
+        ring_dominated=bool(eps <= h + 1e-12),
     )
 
 
@@ -374,7 +377,6 @@ def verify_uniform_ergodicity(
     n_policies: int = 10,
     seed: int = 20260814,
     tol: float = 1e-10,
-    eps_cut_fracs: Sequence[float] = (0.25, 0.375, 0.125),
 ) -> dict:
     """Uniform-in-policy ergodicity checks for the conditioned dynamics.
 
@@ -387,7 +389,6 @@ def verify_uniform_ergodicity(
     """
     grid = build_grid(problem, h)
     trace_min = policy_iteration(problem, h, mode="MIN", tol=tol, grid=grid)
-    trace_max = policy_iteration(problem, h, mode="MAX", tol=tol, grid=grid)
     lam_star_min = trace_min.lam
     psi_log = trace_min.psi_log
     g_hat = discrete_gradient(grid, psi_log, extension="log-zero")
@@ -405,20 +406,19 @@ def verify_uniform_ergodicity(
     quad = 0.5 * np.sum((sig * g_hat) ** 2, axis=1)
 
     def y_generator(action_or_policy) -> sp.csr_matrix:
-        m = drift_under_policy(grid, problem, action_or_policy)
-        b = m + a_diag * g_hat
+        b = qprocess_drift(problem, grid, psi_log, action_or_policy)
         return monotone_stencil(grid, b[sub_idx], a_diag[sub_idx], nodes=sub_idx, reflect=True)[0]
 
     # Uniform certificate from the cutoff construction on the enlarged box.
     certificate = None
     cert_err: Exception | None = None
     min_side = float(np.min(problem.hi - problem.lo))
-    grid2, _ = _enlarged_grid(problem, h, 0.25)
+    grid2, _ = _enlarged_grid(problem, h)
     d2 = np.minimum(
         (grid2.nodes - problem.lo[None, :]).min(axis=1),
         (problem.hi[None, :] - grid2.nodes).min(axis=1),
     )
-    for frac in eps_cut_fracs:
+    for frac in EPS_CUT_FRACS:
         eps_cut = frac * min_side
         if eps_cut <= 2.0 * h:
             continue
@@ -434,23 +434,15 @@ def verify_uniform_ergodicity(
             for u in range(problem.n_actions):
                 qu = y_generator(u) @ v_hat
                 q = qu if q is None else np.maximum(q, qu)
-            c, rho, k_mask, eps = _scan_certificate(q, v_hat, dist[sub_idx], h, min_eps_steps=3)
-            certificate = {
-                "C": c,
-                "rho": rho,
-                "eps": eps,
-                "eps_cut": eps_cut,
-                "lam_prime": trace_pot.lam,
-                "V_hat": v_hat,
-                "K_mask": k_mask,
-            }
+            c, rho, _, _ = _scan_certificate(q, v_hat, dist[sub_idx], h, min_eps_steps=3)
+            certificate = {"C": c, "rho": rho, "eps_cut": eps_cut}
             break
         except NoCertificate as exc:
             cert_err = exc
     if certificate is None:
         raise NoCertificate(f"uniform certificate not found for any cutoff width: {cert_err}")
 
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0x3E2], dtype=np.uint64)))
+    rng = philox(seed, 0x3E2)
     per_policy = []
     slack_scale = certificate["C"] * h
     for _ in range(int(n_policies)):
@@ -460,17 +452,12 @@ def verify_uniform_ergodicity(
         slack_needed = max(0.0, rhs - lam_star_min)
         per_policy.append(
             {
-                "rhs": rhs,
                 "slack_needed": slack_needed,
                 "holds_with_ch": bool(rhs <= lam_star_min + slack_scale + 1e-12),
             }
         )
 
     return {
-        "lam_star_max_mode": trace_max.lam,
-        "lam_star_min_mode": lam_star_min,
-        "n_actions": problem.n_actions,
-        "sub_nodes": int(len(sub_idx)),
         "certificate": certificate,
         "per_policy": per_policy,
         "slack_bound_ch": slack_scale,

@@ -30,6 +30,13 @@ from ._util import write_csv
 
 MAX_LP_VARIABLES = 50_000
 MAX_W_POINTS = 16
+# Tilt scales per candidate; scale 1 is the matched tilt transform_point picks.
+W_SCALES = (1.0, 0.5, 2.0)
+# verify_minimizer_structure's bounds: node-marginal TV at most TV_TOL, and at
+# least MASS_TOL of the mass on the reference policy and on the nearest tilt.
+TV_TOL = 0.05
+MASS_TOL = 0.95
+MPS_NAME = "EXITRATE"
 
 
 @dataclass(frozen=True)
@@ -70,19 +77,15 @@ class WPoint:
     scale: float
 
 
-def build_w_grid(
-    grid: Grid,
-    candidates: Sequence[Candidate],
-    scales: Sequence[float] = (1.0, 0.5, 2.0),
-) -> tuple[WPoint, ...]:
-    """Zero plus one point per (candidate, scale); small by design."""
+def build_w_grid(grid: Grid, candidates: Sequence[Candidate]) -> tuple[WPoint, ...]:
+    """Zero plus one point per (candidate, scale in W_SCALES); small by design."""
 
     for cand in candidates:
         if cand.psi_log.shape != (grid.n,):
             raise ValueError("candidate eigenfunction does not match the grid")
     points = [WPoint(label="0", candidate=None, scale=0.0)]
     for ci, cand in enumerate(candidates):
-        for s in scales:
+        for s in W_SCALES:
             points.append(WPoint(label=f"{cand.name}:s={s:g}", candidate=ci, scale=float(s)))
     if len(points) > MAX_W_POINTS:
         raise TooLarge(f"w-grid has {len(points)} points, cap is {MAX_W_POINTS}")
@@ -237,7 +240,6 @@ class OccupationSolution:
     duals: np.ndarray
     iterations: int
     feasibility_residual: float
-    complementary_slackness: float
 
     def node_marginal(self) -> np.ndarray:
         return np.bincount(self.lp.node, weights=self.pi, minlength=self.lp.grid.n)
@@ -256,18 +258,7 @@ def solve_lp(lp: OccupationLP) -> OccupationSolution:
         duals=res.duals,
         iterations=res.iterations,
         feasibility_residual=res.feasibility_residual,
-        complementary_slackness=res.complementary_slackness,
     )
-
-
-def generator_pairing(lp: OccupationLP, f: np.ndarray, pi: np.ndarray) -> float:
-    """Evaluate the measure against the controlled generator applied to f.
-
-    Stationarity of pi is equivalent to this vanishing for every f; the LP
-    rows impose it on the indicator basis.
-    """
-
-    return float(np.asarray(pi) @ (lp.rows.T @ np.asarray(f, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -309,8 +300,6 @@ def verify_minimizer_structure(
     mu_tilde: np.ndarray,
     policy: np.ndarray,
     candidate: int,
-    tv_tol: float = 0.05,
-    mass_tol: float = 0.95,
 ) -> dict:
     """Check the optimal measure against the conditioned chain's profile.
 
@@ -341,15 +330,15 @@ def verify_minimizer_structure(
 
     return {
         "tv_to_mu_tilde": tv,
-        "tv_tol": tv_tol,
-        "tv_ok": bool(tv <= tv_tol),
+        "tv_tol": TV_TOL,
+        "tv_ok": bool(tv <= TV_TOL),
         "mass_on_policy": frac_policy,
         "mass_on_nearest_w": nearest_mass,
-        "mass_tol": mass_tol,
-        "policy_mass_ok": bool(frac_policy >= mass_tol),
-        "w_mass_ok": bool(nearest_mass >= mass_tol),
+        "mass_tol": MASS_TOL,
+        "policy_mass_ok": bool(frac_policy >= MASS_TOL),
+        "w_mass_ok": bool(nearest_mass >= MASS_TOL),
         "all_ok": bool(
-            tv <= tv_tol and frac_policy >= mass_tol and nearest_mass >= mass_tol
+            tv <= TV_TOL and frac_policy >= MASS_TOL and nearest_mass >= MASS_TOL
         ),
     }
 
@@ -359,11 +348,11 @@ def _mps_field(value: float) -> str:
     return next(text for text in (f"{value:.{p}g}" for p in range(10, 0, -1)) if len(text) <= 12)
 
 
-def export_mps(lp: OccupationLP, path: str, name: str = "EXITRATE") -> None:
+def export_mps(lp: OccupationLP, path: str) -> None:
     """Fixed-column MPS dump of the LP for external cross-checks."""
 
     n = lp.grid.n
-    lines = [f"NAME          {name}"]
+    lines = [f"NAME          {MPS_NAME}"]
     lines.append("ROWS")
     lines.append(" N  COST")
     for y in range(n):

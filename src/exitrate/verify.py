@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from ._util import THREADS_ENV, dump_json, jsonable
+from ._util import THREADS_ENV, dump_json, jsonable, philox
 from .control import enumerate_policies, hjb_residual, policy_iteration
 from .eigen import principal_eigenpair
 from .grid import assemble_generator, build_grid, discrete_gradient
@@ -40,6 +40,8 @@ from .qprocess import (
     verify_uniform_ergodicity,
 )
 from .variational import (
+    MASS_TOL,
+    TV_TOL,
     build_occupation_lp,
     build_w_grid,
     candidate_from_trace,
@@ -50,11 +52,6 @@ from .variational import (
 
 DEFAULT_SEED = 20260814
 PI_HALF = float(np.pi**2 / 2.0)
-
-
-def _rng(seed: int, tag: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, tag % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _solve_const(problem, h: float, action: int = 0, tol: float = 1e-10):
@@ -130,7 +127,7 @@ def _c3_square_eigenvalue(cfg: dict) -> dict:
 
 
 def _c4_exact_conjugation(cfg: dict) -> dict:
-    rng = _rng(cfg["seed"], 0xC4)
+    rng = philox(cfg["seed"], 0xC4)
     worst = 0.0
     cases = []
     prob1 = validate_problem(bm_interval())
@@ -309,7 +306,7 @@ def _c10_occupation_lp(cfg: dict) -> dict:
             "structure": {k: v for k, v in structure.items()},
             "runtime_ok": runtime_ok,
         },
-        {"rel_gap": 0.05, "transform_point_gap": 1e-8, "structure": "tv<=0.05, mass>=0.95", "runtime_s": 120.0},
+        {"rel_gap": 0.05, "transform_point_gap": 1e-8, "structure": f"tv<={TV_TOL:g}, mass>={MASS_TOL:g}", "runtime_s": 120.0},
     )
 
 
@@ -331,7 +328,7 @@ def _c11_lyapunov(cfg: dict) -> dict:
                 "C": cert.C,
                 "eps": cert.eps,
                 "pointwise": pointwise,
-                "ring_dominated": cert.details["ring_dominated"],
+                "ring_dominated": cert.ring_dominated,
             }
         )
     uni = verify_uniform_ergodicity(
@@ -457,21 +454,25 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
         den = 2.0 * float(np.sum(pair.psi * alpha))
         return v_log, num / den
 
-    tr_max = policy_iteration(prob, h, mode="MAX", tol=tol, grid=grid)
-    tr_min = policy_iteration(prob, h, mode="MIN", tol=tol, grid=grid)
-    policies = [tr_max.final_policy, tr_min.final_policy]
-    policies += [np.full(grid.n, u, dtype=int) for u in range(prob.n_actions)]
+    traces = [policy_iteration(prob, h, mode="MAX", tol=tol, grid=grid)]
+    if prob.n_actions > 1:  # with one action MIN repeats MAX
+        traces.append(policy_iteration(prob, h, mode="MIN", tol=tol, grid=grid))
+    # The traces already hold each optimum's generator and pair at this tol;
+    # the constant-action policies are solved here.
+    family = [(tr.final_policy, tr.final_generator, tr.final_pair) for tr in traces]
+    family += [(np.full(grid.n, u, dtype=int), None, None) for u in range(prob.n_actions)]
 
     seen = set()
     log_vals = []
     psi_vals = []
-    for pol in policies:
+    for pol, gen, pair in family:
         key = tuple(int(v) for v in pol)
         if key in seen:
             continue
         seen.add(key)
-        gen = assemble_generator(grid, prob, pol)
-        pair = principal_eigenpair(gen, tol=tol)
+        if gen is None:
+            gen = assemble_generator(grid, prob, pol)
+            pair = principal_eigenpair(gen, tol=tol)
         v_log, v_psi = both_forms(gen, pair)
         log_vals.append(v_log)
         psi_vals.append(v_psi)
@@ -483,7 +484,7 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
     return {
         "values": values,
         "max_pairwise_rel_diff": pairwise,
-        "lam_star": tr_max.lam,
+        "lam_star": traces[0].lam,
         "n_policies": len(log_vals),
     }
 

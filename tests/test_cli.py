@@ -1,11 +1,12 @@
 """Command-line entry points: exit codes, report shape, artifacts."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from exitrate.cli import main
+from exitrate.cli import build_parser, main
 from exitrate.problems import problem_by_name, save_problem
 
 
@@ -168,3 +169,50 @@ def test_reports_carry_no_timing_noise(capsys):
     text = json.dumps(rep)
     for banned in ("time", "date", "thread", "duration"):
         assert banned not in text.lower()
+
+
+_SMALL = {
+    "solve": ["--h", "0.125"],
+    "optimize": ["--problem", "bang-bang", "--h", "0.25"],
+    "qprocess": ["--h", "0.125"],
+    "variational": ["--problem", "bang-bang", "--h", "0.25"],
+    "simulate": ["--h", "0.125", "--paths", "2000", "--dt", "0.002", "--T", "0.8"],
+    "representations": ["--h", "0.125"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL))
+def test_report_config_records_exactly_the_flags_the_command_takes(command, tmp_path):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        a.dest for a in sub.choices[command]._actions if a.option_strings and a.dest != "help"
+    }
+    rc = main([command, *_SMALL[command], "--out", str(tmp_path)])
+    assert rc == 0
+    config = json.loads((tmp_path / f"{command}_report.json").read_text())["config"]
+    # The output directory does not change the results, so it is not recorded;
+    # --param is recorded as "params" when given.
+    assert set(config) == flags - {"out", "param"}
+
+
+@pytest.mark.parametrize("argv", [["variational", "--mode", "MIN"], ["solve", "--seed", "1"], ["optimize", "--action", "1"]])
+def test_dropped_flags_are_rejected(argv):
+    with pytest.raises(SystemExit) as err:
+        build_parser().parse_args(argv)
+    assert err.value.code == 2
+
+
+def test_qprocess_beyond_the_dense_cap_fails_cleanly(capsys):
+    rc = main(["qprocess", "--problem", "rect-2d", "--h", "0.015625"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: dense path capped at n=2000, got 3969\n"
+
+
+def test_qprocess_masks_a_negative_seed(capsys):
+    # Random payoffs come from Philox keyed by the seed modulo 2^64.
+    reports = [
+        _run_json(capsys, ["qprocess", "--h", "0.125", "--seed", str(seed)])
+        for seed in (-1, 2**64 - 1)
+    ]
+    assert [rc for rc, _ in reports] == [0, 0]
+    assert reports[0][1]["conjugation_sup_gap"] == reports[1][1]["conjugation_sup_gap"]

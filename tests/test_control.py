@@ -20,21 +20,38 @@ from exitrate.errors import NoConvergence, TooLarge
 from exitrate.grid import assemble_generator, build_grid
 
 
+def _action_generators(grid, problem):
+    return [assemble_generator(grid, problem, u).matrix for u in range(problem.n_actions)]
+
+
 def test_improvement_ignores_eigenvector_scaling(bang_bang):
     grid = build_grid(bang_bang, 1 / 8)
-    psi = principal_eigenpair(assemble_generator(grid, bang_bang, 0)).psi
-    base = policy_improve(grid, bang_bang, psi, mode="MAX")
+    gens = _action_generators(grid, bang_bang)
+    psi = principal_eigenpair(gens[0]).psi
+    base = policy_improve(gens, psi, mode="MAX")
     for c in (1e-6, 1e6):
-        np.testing.assert_array_equal(policy_improve(grid, bang_bang, c * psi, mode="MAX"), base)
+        np.testing.assert_array_equal(policy_improve(gens, c * psi, mode="MAX"), base)
 
 
 def test_improvement_keeps_current_action_on_ties(bang_bang):
     grid = build_grid(bang_bang, 1 / 4)
-    flat = np.ones(grid.n)  # zero gradient: every action scores 0
-    fresh = policy_improve(grid, bang_bang, flat, mode="MAX")
+    same = _action_generators(grid, bang_bang)[:1] * 2  # two actions with equal rows
+    psi = np.ones(grid.n)
+    fresh = policy_improve(same, psi, mode="MAX")
     np.testing.assert_array_equal(fresh, 0)
-    held = policy_improve(grid, bang_bang, flat, mode="MAX", current=np.ones(grid.n, dtype=int), slack=1e-9)
+    held = policy_improve(same, psi, mode="MAX", current=np.ones(grid.n, dtype=int), slack=1e-9)
     np.testing.assert_array_equal(held, 1)
+
+
+def test_improvement_scores_the_generator_rows(bang_bang):
+    # Each node takes the action whose generator row gives the largest
+    # (MAX) or smallest (MIN) value of (G_u psi)(x) / psi(x).
+    grid = build_grid(bang_bang, 1 / 8)
+    gens = _action_generators(grid, bang_bang)
+    psi = principal_eigenpair(gens[0]).psi
+    scores = np.column_stack([(g @ psi) / psi for g in gens])
+    np.testing.assert_array_equal(policy_improve(gens, psi, mode="MAX"), scores.argmax(axis=1))
+    np.testing.assert_array_equal(policy_improve(gens, psi, mode="MIN"), scores.argmin(axis=1))
 
 
 def test_iteration_matches_exhaustive_enumeration(bang_bang):
@@ -67,7 +84,7 @@ def test_converged_policy_is_an_improvement_fixed_point(bang_bang):
     grid = trace.grid
     pair = trace.final_pair
     again = policy_improve(
-        grid, bang_bang, pair.psi, mode="MAX", current=trace.final_policy, slack=1e-9
+        _action_generators(grid, bang_bang), pair.psi, mode="MAX", current=trace.final_policy, slack=1e-9
     )
     np.testing.assert_array_equal(again, trace.final_policy)
 
@@ -90,6 +107,44 @@ def test_constant_potential_shifts_the_value(bm_interval):
     plain = policy_iteration(bm_interval, 1 / 16)
     shifted = policy_iteration(bm_interval, 1 / 16, grid=grid, potential=np.full(grid.n, 2.0))
     assert abs(shifted.lam - plain.lam - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, h", [("bang_bang", 2 / 3), ("bang_bang", 1 / 2), ("rect_2d", 1 / 3)]
+)
+def test_iteration_reaches_both_extremes_on_coarse_meshes(name, h, request):
+    # Two to four nodes: MAX must reach the smallest eigenvalue over all
+    # policies and MIN the largest, with no cycle on the way.
+    problem = request.getfixturevalue(name)
+    scores = _dense_scores(build_grid(problem, h), problem)
+    best, _, _ = enumerate_policies(problem, h)
+    lam_max = policy_iteration(problem, h, mode="MAX")
+    lam_min = policy_iteration(problem, h, mode="MIN")
+    assert lam_max.converged and lam_min.converged
+    assert abs(lam_max.lam - best) <= 1e-10
+    assert abs(lam_min.lam - scores.max()) <= 1e-10
+
+
+def test_cycle_error_reports_where_the_iteration_stood(bang_bang, monkeypatch):
+    # An improvement step that alternates between the two constant policies.
+    def flip(generators, psi, mode, current, slack):
+        return 1 - current
+
+    monkeypatch.setattr(control, "policy_improve", flip)
+    grid = build_grid(bang_bang, 1 / 8)
+    lams = [principal_eigenpair(assemble_generator(grid, bang_bang, u)).lam for u in (1, 0)]
+    with pytest.raises(NoConvergence) as err:
+        policy_iteration(bang_bang, 1 / 8, mode="MAX")
+    msg = str(err.value)
+    assert "cycle at sweep 2" in msg
+    assert f"lambda {lams[0]!r} flips {grid.n} nodes" in msg
+    assert msg.endswith(f"earlier policy at lambda {lams[1]!r}")
+
+
+def test_sweep_cap_error_reports_the_last_value(bang_bang, monkeypatch):
+    monkeypatch.setattr(control, "MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match=r"in 1 sweeps: last lambda \S+ after 0 node changes"):
+        policy_iteration(bang_bang, 1 / 8, mode="MAX")
 
 
 def test_optimality_defect_shrinks_with_the_mesh(bang_bang):

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from exitrate._util import THREADS_ENV
+from exitrate._util import THREADS_ENV, philox
 from exitrate.eigen import principal_eigenpair
 from exitrate.errors import TooFewSurvivors
 from exitrate.expressions import ExpressionError
@@ -19,7 +19,6 @@ from exitrate.mc import (
     _STREAM_CTMC,
     _STREAM_QPROCESS,
     SHARD,
-    _philox,
     TrajectoryEnsemble,
     estimate_exit_rate,
     export_ensemble_csv,
@@ -29,7 +28,6 @@ from exitrate.mc import (
     simulate_ctmc,
     simulate_killed,
     simulate_qprocess,
-    survival,
 )
 from exitrate.problems import ProblemSpec
 from exitrate.qprocess import doob_transform
@@ -113,15 +111,6 @@ def test_finer_steps_reduce_the_exit_bias(bm_interval):
         errs.append(abs(est.rate - lam))
         ses.append(est.stderr)
     assert errs[1] <= errs[0] + ses[0] + ses[1]
-
-
-def test_survival_is_monotone_and_respects_the_horizon(bm_interval):
-    ens = simulate_killed(bm_interval, 0, [0.5], dt=1e-3, T=0.5, n_paths=4_000, seed=SEED)
-    s = [survival(ens, t) for t in (0.0, 0.1, 0.3, 0.5)]
-    assert s[0] == 1.0
-    assert all(b <= a for a, b in zip(s, s[1:]))
-    with pytest.raises(ValueError):
-        survival(ens, 0.6)
 
 
 def test_zero_diffusion_zero_drift_never_exits():
@@ -284,7 +273,7 @@ def _ref_killed(problem, policy, x0, dt, T, n_paths, seed, grid=None):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lo, hi = problem.lo, problem.hi
     n_steps = int(round(T / dt))
-    rng = _philox(seed, 0)
+    rng = philox(seed, 0)
     x = np.tile(x0, (n_paths, 1))
     alive = np.arange(n_paths)
     exit_times = np.full(n_paths, n_steps * dt)
@@ -339,7 +328,7 @@ def _ref_qprocess(problem, grid, policy, psi_log, x0, dt, T, n_paths, seed, max_
     lo, hi, h = grid.lo, grid.hi, grid.h
     grad = discrete_gradient(grid, psi_log, extension="log-zero")
     n_steps = int(round(T / dt))
-    rng = _philox(seed, _STREAM_QPROCESS)
+    rng = philox(seed, _STREAM_QPROCESS)
     x = np.tile(x0, (n_paths, 1))
     occupancy = np.zeros(grid.n)
     projections = 0
@@ -384,7 +373,7 @@ def _ref_rate(ens, fit_window, n_points=41, n_boot=200):
 
     tau = np.sort(ens.exit_times[~ens.censored])
     slope = np.polyfit(times, log_survival(tau), 1)[0]
-    rng = _philox(ens.seed, _STREAM_BOOTSTRAP)
+    rng = philox(ens.seed, _STREAM_BOOTSTRAP)
     slopes = np.empty(n_boot)
     for b in range(n_boot):
         pick = rng.integers(0, n, n)
@@ -404,7 +393,7 @@ def _ref_ctmc(matrix, x0_index, T, seed, n_paths):
         probs = np.where(rates[:, None] > 0, jump / rates[:, None], 0.0)
         kill = np.where(rates > 0, deficit / rates, 0.0)
     cum = np.cumsum(np.hstack([probs, kill[:, None]]), axis=1)
-    rng = _philox(seed, _STREAM_CTMC)
+    rng = philox(seed, _STREAM_CTMC)
     state = np.full(n_paths, x0_index, dtype=np.int64)
     t = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
@@ -551,7 +540,7 @@ def test_ctmc_zero_uniform_picks_a_neighbour(monkeypatch):
         def random(self, size):
             return np.zeros(size)
 
-    monkeypatch.setattr("exitrate.mc._philox", lambda seed, stream: Zeros())
+    monkeypatch.setattr("exitrate.mc.philox", lambda seed, stream: Zeros())
     gen = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 1.0, -1.0]])
     ens = simulate_ctmc(gen, 2, T=0.75, seed=SEED)
     np.testing.assert_array_equal(ens.occupancy, [0.0, 0.25, 0.5])
@@ -561,3 +550,10 @@ def test_second_coordinate_still_raises_on_an_interval():
     prob = ProblemSpec("bad", 1, ((0.0, 1.0),), ("0",), (("x2",),), ("1",))
     with pytest.raises(ExpressionError):
         simulate_killed(prob, 0, [0.5], dt=1e-3, T=0.01, n_paths=8, seed=SEED)
+
+
+@pytest.mark.parametrize("seed", [0, SEED, 2**63, 2**64 - 1])
+def test_philox_keys_are_the_seed_and_stream(seed):
+    direct = np.random.Generator(np.random.Philox(key=np.array([seed, 0xC4], dtype=np.uint64)))
+    np.testing.assert_array_equal(philox(seed, 0xC4).random(8), direct.random(8))
+    np.testing.assert_array_equal(philox(seed - 2**64, 0xC4 + 2**64).random(8), philox(seed, 0xC4).random(8))

@@ -5,7 +5,6 @@ import pytest
 
 from exitrate.errors import EllipticityViolation, NonFiniteCoefficient, TooLarge
 from exitrate.problems import (
-    PolicySpec,
     ProblemSpec,
     builtin_catalog,
     load_problem,
@@ -123,9 +122,3 @@ def test_with_bounds_changes_only_the_box():
     assert wide.bounds == ((0.0, 1.25),)
     pts = np.array([[0.6], [1.1]])
     np.testing.assert_allclose(wide.sigma(pts), spec.sigma(pts))
-
-
-def test_policy_spec_round_trip():
-    arr = np.array([0, 1, 1, 0, 1], dtype=np.int64)
-    spec = PolicySpec.from_array(arr)
-    np.testing.assert_array_equal(spec.array, arr)
