@@ -179,15 +179,58 @@ def _dense(mat: sp.spmatrix) -> np.ndarray:
 def girsanov_check(
     gen: Generator | sp.spmatrix, pair: EigenPair, t: float, g_field: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Killed-semigroup conjugation at time t: lhs, rhs, and their sup gap."""
+    """Killed-semigroup conjugation at time t: lhs, rhs, and their sup gap.
+
+    `g_field` is one field (n,) or a stack of fields (n, m), one per column;
+    either way the call takes the two exponentials e^{tG} and e^{tG~} once, and
+    the gap is the sup over every node and field.
+    """
     mat = as_matrix(gen)
     model = doob_transform(gen, pair)
     gd = _dense(mat)
     gt = _dense(model.g_tilde)
     g_field = np.asarray(g_field, dtype=float)
+    psi = pair.psi if g_field.ndim == 1 else pair.psi[:, None]
     lhs = expm(t * gd) @ g_field
-    rhs = np.exp(-pair.lam * t) * pair.psi * (expm(t * gt) @ (g_field / pair.psi))
+    rhs = np.exp(-pair.lam * t) * psi * (expm(t * gt) @ (g_field / psi))
     return lhs, rhs, float(np.abs(lhs - rhs).max())
+
+
+def _survival_rows(gd: np.ndarray, t_list: Sequence[float], x0_index: int) -> list[np.ndarray]:
+    """Row x0 of e^{tG} for each t, in `t_list` order, by propagating e_x0 in time.
+
+    The increments of the sorted distinct times (from 0) share a step delta when
+    each is an integer multiple of the smallest positive one to within
+    1e-12 max(1, t_max); then one e^{delta G} reaches every t by row-times-matrix
+    products, as long as they number at most n per distinct increment.
+    Otherwise each distinct increment gets its own exponential.  Only
+    a row is carried, never a product of matrices (Moler & Van Loan, "Nineteen
+    dubious ways to compute the exponential of a matrix, twenty-five years
+    later", SIAM Review 45(1), 2003).
+    """
+    times, where = np.unique(np.asarray(t_list, dtype=float), return_inverse=True)
+    steps = np.diff(times, prepend=0.0)
+    increments = set(steps[steps != 0])
+    delta = steps[steps > 0].min(initial=np.inf)
+    counts = np.rint(steps / delta)
+    slack = 1e-12 * max(1.0, times.max(initial=0.0))
+    common = np.all(counts >= 0) and np.all(np.abs(steps - counts * delta) <= slack)
+    # At most n row products (about one matrix product) per exponential saved,
+    # so a step far below the time scale, as in (1, 1 + 1e-9), cannot run away.
+    if common and 0 < counts.sum() <= gd.shape[0] * len(increments):
+        one = expm(delta * gd)
+        factors = [[one] * int(k) for k in counts]
+    else:
+        exps = {s: expm(s * gd) for s in increments}
+        factors = [[exps[s]] if s else [] for s in steps]
+    row = np.zeros(gd.shape[0])
+    row[x0_index] = 1.0
+    rows = []
+    for group in factors:
+        for factor in group:
+            row = row @ factor
+        rows.append(row)
+    return [rows[i] for i in where]
 
 
 @dataclass(frozen=True)
@@ -207,6 +250,10 @@ def survival_asymptotics(
 ) -> SurvivalReport:
     """Scaled survival table, conditioned-law TV decay, and the t -> inf limit.
 
+    The law of X_t on {tau > t} from x0 is row x0 of e^{tG}; `_survival_rows`
+    propagates that row through the times, which costs one dense exponential
+    when the times share a step (as (1, 5, 10) and linspace(0.2, 1, 17) do)
+    and one per distinct increment otherwise.  t = 0 gives e_x0.
     The limit of e^{lam t} P_x0(tau > t) is Psi(x0) sum(phi) / <phi, Psi>.
     The TV decay rate is fitted log-linearly and compared (by the caller)
     against the dense spectral gap, which is also computed here when the
@@ -217,8 +264,7 @@ def survival_asymptotics(
     alpha = pair.phi
     rows = []
     tv_points = []
-    for t in t_list:
-        row = expm(t * gd)[x0_index, :]
+    for t, row in zip(t_list, _survival_rows(gd, t_list, x0_index)):
         survival = float(row.sum())
         scaled = float(np.exp(pair.lam * t) * survival)
         conditioned = row / survival

@@ -5,7 +5,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
+from exitrate import qprocess
+from exitrate.control import policy_iteration
 from exitrate.eigen import EigenPair, principal_eigenpair
 from exitrate.errors import IllConditioned, NullVectorNotUnique
 from exitrate.grid import assemble_generator, build_grid
@@ -20,6 +23,7 @@ from exitrate.qprocess import (
     rayleigh_identity,
     stationary_measures,
     survival_asymptotics,
+    _survival_rows,
     verify_uniform_ergodicity,
 )
 
@@ -105,9 +109,91 @@ def test_scaled_survival_reaches_the_closed_form_limit(three_node):
     scaled = [row[1] for row in rep.rows]
     assert abs(scaled[-1] - rep.limit_value) < 1e-10
     tvs = [row[2] for row in rep.rows]
-    assert tvs[0] > tvs[1] > tvs[2] >= 0.0
+    assert tvs[0] > tvs[1]
+    # By t=5 the conditioned law has reached the exact quasi-stationary law
+    # to roundoff, so TV sits at the floor set by the computed phi: its
+    # distance to the closed form (1/sqrt2, 1, 1/sqrt2) / (1 + sqrt2).
+    exact = np.array([1 / SQRT2, 1.0, 1 / SQRT2]) / (1 + SQRT2)
+    floor = 0.5 * float(np.abs(pair.phi - exact).sum())
+    assert abs(tvs[1] - floor) <= 1e-15
+    assert abs(tvs[2] - floor) <= 1e-15
     assert rep.spectral_gap is not None
     assert abs(rep.spectral_gap - 8 * SQRT2) < 1e-9
+
+
+SURVIVAL_TIMES = [(1.0, 5.0, 10.0), tuple(np.linspace(0.2, 1.0, 17)), (0.3, 0.7, 2.0)]
+
+
+@pytest.fixture(scope="module")
+def survival_meshes(bm_interval, drift_interval, rect_2d):
+    meshes = {
+        name: assemble_generator(build_grid(prob, 1 / 32), prob, 0)
+        for name, prob in (("bm-interval", bm_interval), ("drift-interval", drift_interval))
+    }
+    for k in (16, 32):
+        meshes[f"rect-2d-h{k}"] = policy_iteration(rect_2d, 1 / k, mode="MAX").final_generator
+    return meshes
+
+
+@pytest.mark.parametrize("mesh", ["bm-interval", "drift-interval", "rect-2d-h16", "rect-2d-h32"])
+def test_propagated_rows_match_dense_exponential_rows(survival_meshes, mesh):
+    # Reference: row x0 of a separate dense expm(t G) per t.  The worst
+    # relative gap seen is 3.9e-12 (drift-interval, t=10); on bm-interval a
+    # symmetric eigh reference puts both methods at 0.6-1.3e-12 there, so
+    # 1e-11 is roundoff headroom, not slack for a wrong row.
+    gd = survival_meshes[mesh].matrix.toarray()
+    x0 = gd.shape[0] // 3
+    for ts in SURVIVAL_TIMES:
+        for t, row in zip(ts, _survival_rows(gd, ts, x0)):
+            ref = expm(t * gd)[x0]
+            assert np.abs(row - ref).max() <= 1e-11 * np.abs(ref).max(), (mesh, t)
+
+
+def test_survival_rows_keep_the_given_order_and_start_at_e_x0(three_node):
+    gen, _ = three_node
+    gd = gen.matrix.toarray()
+    rows = _survival_rows(gd, (2.0, 0.0, 1.0, 2.0), 1)
+    np.testing.assert_array_equal(rows[1], [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(rows[0], rows[3])
+    np.testing.assert_allclose(rows[2], expm(gd)[1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rows[0], expm(2 * gd)[1], rtol=0, atol=1e-15)
+
+
+def _count_exponentials(monkeypatch) -> list:
+    seen = []
+
+    def counted(a):
+        seen.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(qprocess, "expm", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "ts, calls",
+    [(SURVIVAL_TIMES[0], 1), (SURVIVAL_TIMES[1], 1), (SURVIVAL_TIMES[2], 3), ((1.0, 1.0 + 1e-9), 2)],
+)
+def test_survival_takes_one_exponential_per_distinct_step(survival_meshes, monkeypatch, ts, calls):
+    # The last list has a common step of 1e-9, which would take 1e9 row
+    # products; it gets one exponential per increment instead.
+    gen = survival_meshes["bm-interval"]
+    pair = principal_eigenpair(gen)
+    seen = _count_exponentials(monkeypatch)
+    survival_asymptotics(gen, pair, ts, x0_index=gen.n // 3)
+    assert len(seen) == calls
+
+
+def test_stacked_conjugation_check_takes_two_exponentials(three_node, monkeypatch):
+    gen, pair = three_node
+    fields = np.random.default_rng(7).random((3, 5))
+    seen = _count_exponentials(monkeypatch)
+    lhs, rhs, gap = girsanov_check(gen, pair, 1.0, fields)
+    assert len(seen) == 2
+    assert lhs.shape == rhs.shape == (3, 5)
+    singles = [girsanov_check(gen, pair, 1.0, fields[:, j]) for j in range(5)]
+    assert gap == pytest.approx(max(s[2] for s in singles), rel=0, abs=1e-14)
+    np.testing.assert_allclose(lhs, np.stack([s[0] for s in singles], axis=1), rtol=1e-14)
 
 
 def test_conditioned_tv_decay_rate_matches_the_modes(three_node):
