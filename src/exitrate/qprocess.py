@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
 from ._util import philox
@@ -34,8 +35,15 @@ from .grid import (
 from .problems import with_bounds
 
 DENSE_CAP = 2000
-# doob_transform refuses an eigenvector whose max/min ratio exceeds this.
+# doob_transform refuses an eigenvector whose max/min ratio exceeds this, and
+# survival_asymptotics takes the symmetric path only while sqrt(w_max / w_min)
+# of the detailed-balance weights stays below it.
 MAX_PSI_RATIO = 1e12
+# Detailed balance holds when log(G_ij / G_ji) = log w_j - log w_i to within
+# this on every edge.  The worst residual seen on the repo's reversible chains
+# is 1.8e-15 (drift-interval c=20, h=1/32); a chain reversible only to a
+# relative r would move e^{tG} by about t r |G|, so the bar sits at roundoff.
+DETAILED_BALANCE_TOL = 1e-13
 # survival_asymptotics fits the TV decay only on values inside this range.
 TV_FIT_RANGE = (1e-11, 0.5)
 # Certificates enlarge the box by this share of each side (rounded to whole
@@ -233,6 +241,63 @@ def _survival_rows(gd: np.ndarray, t_list: Sequence[float], x0_index: int) -> li
     return [rows[i] for i in where]
 
 
+def _reversing_weights(mat: sp.csr_matrix) -> np.ndarray | None:
+    """log w with w_i G_ij = w_j G_ji on every edge, or None when there is none.
+
+    log w is carried from node 0 down a breadth-first tree of the rate graph,
+    log w_j = log w_i + log(G_ij / G_ji) on tree edge (i, j); then every edge,
+    on the tree or not, must satisfy detailed balance to DETAILED_BALANCE_TOL
+    (Kelly, "Reversibility and Stochastic Networks", 1979, ch. 1).  Rates
+    must be positive with a symmetric, connected pattern, and weights with
+    sqrt(w_max / w_min) above MAX_PSI_RATIO are refused.
+    """
+    n = mat.shape[0]
+    off = (mat - sp.diags(mat.diagonal())).tocsr()
+    off.eliminate_zeros()
+    off.sort_indices()
+    back = off.T.tocsr()
+    back.sort_indices()
+    if not (
+        np.array_equal(off.indptr, back.indptr)
+        and np.array_equal(off.indices, back.indices)
+        and np.all(off.data > 0)
+    ):
+        return None
+    order, pred = breadth_first_order(off, 0)
+    if len(order) < n:
+        return None
+    # Edge (i, j) sits at the same CSR position in off and in back = off^T.
+    heads = np.repeat(np.arange(n), np.diff(off.indptr))
+    ratio = np.log(off.data) - np.log(back.data)
+    on_tree = pred[off.indices] == heads
+    step = np.zeros(n)
+    step[off.indices[on_tree]] = ratio[on_tree]
+    log_w = np.zeros(n)
+    for j in order[1:]:
+        log_w[j] = log_w[pred[j]] + step[j]
+    residual = np.abs(ratio - (log_w[off.indices] - log_w[heads])).max(initial=0.0)
+    if residual > DETAILED_BALANCE_TOL or 0.5 * np.ptp(log_w) > np.log(MAX_PSI_RATIO):
+        return None
+    return log_w
+
+
+def _symmetric_survival(
+    mat: sp.csr_matrix, log_w: np.ndarray, times: np.ndarray, x0_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row x0 of e^{tG} for each t (one per row) and the spectrum of G, by one eigh.
+
+    With detailed-balance weights w, S = W^(1/2) G W^(-1/2) is symmetric, and
+    S = U diag(Lambda) U^T gives e^{tG} = W^(-1/2) U e^{t Lambda} U^T W^(1/2):
+    row x0 is w_x0^(-1/2) (U[x0] e^{t Lambda}) U^T W^(1/2).  U is orthonormal,
+    so the only amplification is the diagonal scaling, sqrt(w_max / w_min).
+    """
+    root = np.exp(0.5 * (log_w - log_w.max()))
+    s = _dense(sp.diags(root) @ mat @ sp.diags(1.0 / root))
+    lam, u = np.linalg.eigh(0.5 * (s + s.T))
+    rows = (u[x0_index] * np.exp(np.outer(times, lam))) @ u.T * (root / root[x0_index])
+    return rows, lam
+
+
 @dataclass(frozen=True)
 class SurvivalReport:
     rows: tuple[tuple[float, float, float], ...]  # (t, e^{lam t} P(tau > t), TV to alpha)
@@ -250,21 +315,45 @@ def survival_asymptotics(
 ) -> SurvivalReport:
     """Scaled survival table, conditioned-law TV decay, and the t -> inf limit.
 
-    The law of X_t on {tau > t} from x0 is row x0 of e^{tG}; `_survival_rows`
-    propagates that row through the times, which costs one dense exponential
-    when the times share a step (as (1, 5, 10) and linspace(0.2, 1, 17) do)
-    and one per distinct increment otherwise.  t = 0 gives e_x0.
-    The limit of e^{lam t} P_x0(tau > t) is Psi(x0) sum(phi) / <phi, Psi>.
-    The TV decay rate is fitted log-linearly and compared (by the caller)
-    against the dense spectral gap, which is also computed here when the
-    matrix is small enough.
+    The law of X_t on {tau > t} from x0 is row x0 of e^{tG}.  When the chain
+    satisfies detailed balance (`_reversing_weights`), one symmetric
+    eigendecomposition gives every row and the spectral gap
+    (`_symmetric_survival`).  Otherwise `_survival_rows` propagates the row
+    through the times, one dense exponential when the times share a step (as
+    (1, 5, 10) and linspace(0.2, 1, 17) do) and one per distinct increment
+    otherwise, with t = 0 giving e_x0, and the gap comes from a dense
+    `eigvals` when n <= 1000.  The limit of e^{lam t} P_x0(tau > t) is
+    Psi(x0) sum(phi) / <phi, Psi>.  The TV decay rate is fitted log-linearly
+    and compared (by the caller) against the spectral gap.
+
+    Raises ValueError for a negative or non-finite time or an x0_index outside
+    [0, n), and TooLargeForDense beyond DENSE_CAP nodes.
     """
     mat = as_matrix(gen)
-    gd = _dense(mat)
+    n = mat.shape[0]
+    times = np.asarray(t_list, dtype=float)
+    if not np.all(np.isfinite(times) & (times >= 0)):
+        raise ValueError(f"survival times must be finite and >= 0, got {times.tolist()}")
+    if not 0 <= x0_index < n:
+        raise ValueError(f"x0_index {x0_index} outside [0, {n})")
+    log_w = _reversing_weights(mat)
+    gap = None
+    if log_w is not None:
+        law_rows, lam = _symmetric_survival(mat, log_w, times, x0_index)
+        if n >= 2:
+            gap = float(lam[-1] - lam[-2])
+    else:
+        gd = _dense(mat)
+        law_rows = _survival_rows(gd, t_list, x0_index)
+        if n <= 1000:
+            decay = np.sort(-np.real(np.linalg.eigvals(gd)))
+            if len(decay) >= 2:
+                gap = float(decay[1] - decay[0])
+
     alpha = pair.phi
     rows = []
     tv_points = []
-    for t, row in zip(t_list, _survival_rows(gd, t_list, x0_index)):
+    for t, row in zip(t_list, law_rows):
         survival = float(row.sum())
         scaled = float(np.exp(pair.lam * t) * survival)
         conditioned = row / survival
@@ -285,12 +374,6 @@ def survival_asymptotics(
         ss_tot = float(np.sum((ys - ys.mean()) ** 2))
         rate = float(-slope)
         r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-
-    gap = None
-    if mat.shape[0] <= 1000:
-        decay = np.sort(-np.real(np.linalg.eigvals(gd)))
-        if len(decay) >= 2:
-            gap = float(decay[1] - decay[0])
 
     return SurvivalReport(
         rows=tuple(rows),

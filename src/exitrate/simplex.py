@@ -39,8 +39,12 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run(tableau: np.ndarray, basis: np.ndarray, n_cols: int, cap: int) -> int:
-    """Iterate to optimality over the first n_cols columns; returns iterations."""
+def _run(tableau: np.ndarray, basis: np.ndarray, n_cols: int, cap: int, phase: int) -> int:
+    """Iterate to optimality over the first n_cols columns; returns iterations.
+
+    Past `cap` pivots it raises NoConvergence with the phase, the pivot
+    count, the current objective and the most negative reduced cost.
+    """
     m = tableau.shape[0] - 1
     it = 0
     while True:
@@ -65,7 +69,11 @@ def _run(tableau: np.ndarray, basis: np.ndarray, n_cols: int, cap: int) -> int:
         _pivot(tableau, basis, int(leaving), entering)
         it += 1
         if it > cap:
-            raise NoConvergence(f"simplex exceeded {cap} pivots")
+            raise NoConvergence(
+                f"simplex phase {phase} exceeded {cap} pivots: after {it} pivots the "
+                f"objective is {-tableau[-1, -1]:.12g} and the most negative reduced "
+                f"cost {tableau[-1, :n_cols].min():.3e}"
+            )
 
 
 def solve_standard_lp(a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray) -> SimplexResult:
@@ -89,7 +97,7 @@ def solve_standard_lp(a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray) -> Simp
     tab[-1, :n] = -a.sum(axis=0)
     tab[-1, -1] = -b.sum()
     basis = np.arange(n, n + m)
-    it1 = _run(tab, basis, n, cap)
+    it1 = _run(tab, basis, n, cap, phase=1)
     scale = max(1.0, float(np.abs(b).max()))
     if -tab[-1, -1] > 1e-8 * scale:
         raise Infeasible(f"phase-1 objective {-tab[-1, -1]:.3e} > 0")
@@ -117,7 +125,7 @@ def solve_standard_lp(a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray) -> Simp
     tab2[-1, :n] = cost
     for i, bi in enumerate(basis):
         tab2[-1] -= cost[bi] * tab2[i]
-    it2 = _run(tab2, basis, n, cap)
+    it2 = _run(tab2, basis, n, cap, phase=2)
 
     x = np.zeros(n)
     x[basis] = tab2[:m_kept, -1]

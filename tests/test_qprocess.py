@@ -12,6 +12,8 @@ from exitrate.control import policy_iteration
 from exitrate.eigen import EigenPair, principal_eigenpair
 from exitrate.errors import IllConditioned, NullVectorNotUnique
 from exitrate.grid import assemble_generator, build_grid
+from exitrate.problems import drift_interval as drift_interval_spec
+from exitrate.problems import validate_problem
 from exitrate.qprocess import (
     QProcessModel,
     doob_transform,
@@ -23,7 +25,9 @@ from exitrate.qprocess import (
     rayleigh_identity,
     stationary_measures,
     survival_asymptotics,
+    _reversing_weights,
     _survival_rows,
+    _symmetric_survival,
     verify_uniform_ergodicity,
 )
 
@@ -122,31 +126,111 @@ def test_scaled_survival_reaches_the_closed_form_limit(three_node):
 
 
 SURVIVAL_TIMES = [(1.0, 5.0, 10.0), tuple(np.linspace(0.2, 1.0, 17)), (0.3, 0.7, 2.0)]
+REVERSIBLE = [
+    "bm-interval",
+    "drift-interval",
+    "drift-interval-c0.5",
+    "drift-interval-c2",
+    "bang-bang-max",
+    "rect-2d-h16",
+    "rect-2d-h32",
+]
 
 
 @pytest.fixture(scope="module")
-def survival_meshes(bm_interval, drift_interval, rect_2d):
+def survival_meshes(bm_interval, drift_interval, rect_2d, bang_bang):
     meshes = {
         name: assemble_generator(build_grid(prob, 1 / 32), prob, 0)
-        for name, prob in (("bm-interval", bm_interval), ("drift-interval", drift_interval))
+        for name, prob in (
+            ("bm-interval", bm_interval),
+            ("drift-interval", drift_interval),
+            ("drift-interval-c0.5", validate_problem(drift_interval_spec(0.5))),
+            ("drift-interval-c2", validate_problem(drift_interval_spec(2.0))),
+        )
     }
+    meshes["bang-bang-max"] = policy_iteration(bang_bang, 1 / 32, mode="MAX").final_generator
     for k in (16, 32):
         meshes[f"rect-2d-h{k}"] = policy_iteration(rect_2d, 1 / k, mode="MAX").final_generator
+    # Drift on x1 chosen by the x2 row: the rates around a cell no longer
+    # balance, so this chain is not reversible.
+    grid = build_grid(rect_2d, 1 / 16)
+    rows_x2 = np.rint(grid.nodes[:, 1] * 16).astype(int)
+    meshes["rect-2d-x2-policy"] = assemble_generator(grid, rect_2d, rows_x2 % 3)
     return meshes
 
 
+@pytest.fixture(scope="module")
+def dense_rows(survival_meshes):
+    """Reference rows x0 = n // 3 of a separate dense expm(t G) per t, cached."""
+    cache = {}
+
+    def rows(mesh, ts):
+        if (mesh, ts) not in cache:
+            gd = survival_meshes[mesh].matrix.toarray()
+            cache[mesh, ts] = [expm(t * gd)[gd.shape[0] // 3] for t in ts]
+        return cache[mesh, ts]
+
+    return rows
+
+
+def _assert_rows_match(rows, refs, mesh):
+    # Relative to the largest entry of the reference row, in max-norm.
+    for k, (row, ref) in enumerate(zip(rows, refs)):
+        assert np.abs(row - ref).max() <= 1e-11 * np.abs(ref).max(), (mesh, k)
+
+
 @pytest.mark.parametrize("mesh", ["bm-interval", "drift-interval", "rect-2d-h16", "rect-2d-h32"])
-def test_propagated_rows_match_dense_exponential_rows(survival_meshes, mesh):
-    # Reference: row x0 of a separate dense expm(t G) per t.  The worst
-    # relative gap seen is 3.9e-12 (drift-interval, t=10); on bm-interval a
-    # symmetric eigh reference puts both methods at 0.6-1.3e-12 there, so
-    # 1e-11 is roundoff headroom, not slack for a wrong row.
+def test_propagated_rows_match_dense_exponential_rows(survival_meshes, dense_rows, mesh):
+    # The worst relative gap seen is 3.9e-12 (drift-interval, t=10); on
+    # bm-interval a symmetric eigh reference puts both methods at
+    # 0.6-1.3e-12 there, so 1e-11 is roundoff headroom, not slack for a
+    # wrong row.
     gd = survival_meshes[mesh].matrix.toarray()
-    x0 = gd.shape[0] // 3
     for ts in SURVIVAL_TIMES:
-        for t, row in zip(ts, _survival_rows(gd, ts, x0)):
-            ref = expm(t * gd)[x0]
-            assert np.abs(row - ref).max() <= 1e-11 * np.abs(ref).max(), (mesh, t)
+        _assert_rows_match(_survival_rows(gd, ts, gd.shape[0] // 3), dense_rows(mesh, ts), mesh)
+
+
+@pytest.mark.parametrize("mesh", REVERSIBLE)
+def test_reversible_chains_take_one_symmetric_eigendecomposition(
+    survival_meshes, dense_rows, monkeypatch, mesh
+):
+    # Every chain here satisfies detailed balance: the 1-D ones are
+    # birth-death chains and the rect-2d MAX optimum's policy depends on x1
+    # only.  The largest sqrt(w_max / w_min) among them is 6.54
+    # (drift-interval c=2).  Rows agree with per-t dense expm to 5.7e-12
+    # relative at worst (drift-interval c=0.5).
+    gen = survival_meshes[mesh]
+    mat = gen.matrix
+    x0 = gen.n // 3
+    log_w = _reversing_weights(mat)
+    assert log_w is not None
+    for ts in SURVIVAL_TIMES:
+        rows, _ = _symmetric_survival(mat, log_w, np.array(ts), x0)
+        _assert_rows_match(rows, dense_rows(mesh, ts), mesh)
+
+    seen = _count_exponentials(monkeypatch)
+    rep = survival_asymptotics(gen, principal_eigenpair(gen), SURVIVAL_TIMES[0], x0_index=x0)
+    assert seen == []
+    decay = np.sort(-np.real(np.linalg.eigvals(mat.toarray())))
+    assert rep.spectral_gap == pytest.approx(decay[1] - decay[0], rel=1e-11)
+
+
+def test_detailed_balance_check_rejects_one_rate_off_by_1e_9(survival_meshes):
+    mat = survival_meshes["rect-2d-h16"].matrix.tocsr(copy=True)
+    assert _reversing_weights(mat) is not None
+    i = mat.shape[0] // 2
+    j = mat.indices[mat.indptr[i]:mat.indptr[i + 1]][0]
+    assert i != j
+    mat[i, j] *= 1.0 + 1e-9
+    assert _reversing_weights(mat) is None
+    assert _reversing_weights(survival_meshes["rect-2d-x2-policy"].matrix) is None
+
+
+@pytest.mark.parametrize("t_list, x0", [((1.0, -1.0), 3), ((np.nan,), 3), ((np.inf,), 3), ((1.0,), -1), ((1.0,), 7)])
+def test_survival_rejects_bad_times_and_start_nodes(bm_interval, t_list, x0):
+    gen = assemble_generator(build_grid(bm_interval, 1 / 8), bm_interval, 0)
+    with pytest.raises(ValueError):
+        survival_asymptotics(gen, principal_eigenpair(gen), t_list, x0_index=x0)
 
 
 def test_survival_rows_keep_the_given_order_and_start_at_e_x0(three_node):
@@ -175,9 +259,10 @@ def _count_exponentials(monkeypatch) -> list:
     [(SURVIVAL_TIMES[0], 1), (SURVIVAL_TIMES[1], 1), (SURVIVAL_TIMES[2], 3), ((1.0, 1.0 + 1e-9), 2)],
 )
 def test_survival_takes_one_exponential_per_distinct_step(survival_meshes, monkeypatch, ts, calls):
-    # The last list has a common step of 1e-9, which would take 1e9 row
+    # A chain that fails detailed balance, so the rows are propagated.  The
+    # last list has a common step of 1e-9, which would take 1e9 row
     # products; it gets one exponential per increment instead.
-    gen = survival_meshes["bm-interval"]
+    gen = survival_meshes["rect-2d-x2-policy"]
     pair = principal_eigenpair(gen)
     seen = _count_exponentials(monkeypatch)
     survival_asymptotics(gen, pair, ts, x0_index=gen.n // 3)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from exitrate.errors import Infeasible, Unbounded
-from exitrate.simplex import solve_standard_lp
+from exitrate.errors import Infeasible, NoConvergence, Unbounded
+from exitrate.simplex import _run, solve_standard_lp
 
 
 def _random_lp(seed, m=6, n=12):
@@ -58,6 +58,29 @@ def test_degenerate_cycling_instance_terminates():
     res = solve_standard_lp(a, b, c)
     assert res.value == pytest.approx(-0.05, abs=1e-10)
     assert res.iterations < 100
+
+
+def test_pivot_cap_error_reports_where_the_simplex_stood():
+    # The phase-1 tableau of solve_standard_lp, run with a cap of one pivot.
+    a, b, _ = _random_lp(3)
+    a[b < 0] *= -1.0
+    b = np.abs(b)
+    m, n = a.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = b
+    tab[-1, :n] = -a.sum(axis=0)
+    tab[-1, -1] = -b.sum()
+    with pytest.raises(NoConvergence) as err:
+        _run(tab, np.arange(n, n + m), n, cap=1, phase=1)
+    # The tableau is left where the simplex stopped, not yet optimal.
+    reduced = tab[-1, :n].min()
+    assert reduced < 0
+    assert str(err.value) == (
+        f"simplex phase 1 exceeded 1 pivots: after 2 pivots the objective is "
+        f"{-tab[-1, -1]:.12g} and the most negative reduced cost {reduced:.3e}"
+    )
 
 
 def test_contradictory_rows_are_infeasible():
