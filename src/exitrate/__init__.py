@@ -21,7 +21,6 @@ from .errors import (
     TooFewSurvivors,
     TooLarge,
     TooLargeForDense,
-    Unbounded,
 )
 from .problems import (
     ProblemSpec,
@@ -80,7 +79,6 @@ __all__ = [
     "TooFewSurvivors",
     "TooLarge",
     "TooLargeForDense",
-    "Unbounded",
     "ValidatedProblem",
     "assemble_generator",
     "build_grid",

@@ -39,30 +39,23 @@ from .qprocess import (
     stationary_measures,
     survival_asymptotics,
 )
-from .variational import (
-    build_occupation_lp,
-    build_w_grid,
-    candidate_from_trace,
-    export_mps,
-    export_solution_csv,
-    solve_lp,
-    transform_point,
-    verify_minimizer_structure,
-)
+from .variational import export_mps, export_solution_csv, occupation_check
 from .verify import DEFAULT_SEED, four_representations, run_acceptance
 
 
+def _params(args: argparse.Namespace) -> dict:
+    """--param KEY=VAL overrides as floats, in the order given."""
+    return {k: float(v) for k, _, v in (kv.partition("=") for kv in args.param or [])}
+
+
 def _resolve_problem(args: argparse.Namespace):
-    name = args.problem
-    params = {}
-    for kv in args.param or []:
-        k, _, v = kv.partition("=")
-        params[k] = float(v)
-    if name.endswith(".json"):
-        spec = load_problem(name)
+    """The validated problem and the spacing: --h when given, else the default."""
+    if args.problem.endswith(".json"):
+        spec = load_problem(args.problem)
     else:
-        spec = problem_by_name(name, **params)
-    return validate_problem(spec)
+        spec = problem_by_name(args.problem, **_params(args))
+    prob = validate_problem(spec)
+    return prob, (args.h if args.h is not None else default_spacing(prob))
 
 
 def _config_dict(args: argparse.Namespace, prob, h: float) -> dict:
@@ -72,7 +65,7 @@ def _config_dict(args: argparse.Namespace, prob, h: float) -> dict:
     cfg["problem"] = prob.name
     cfg["h"] = h
     if args.param:
-        cfg["params"] = {kv.partition("=")[0]: float(kv.partition("=")[2]) for kv in args.param}
+        cfg["params"] = _params(args)
     return jsonable(cfg)
 
 
@@ -95,8 +88,7 @@ def _x0_point(args, prob) -> list[float]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    prob = _resolve_problem(args)
-    h = args.h if args.h else default_spacing(prob)
+    prob, h = _resolve_problem(args)
     grid = build_grid(prob, h)
     gen = assemble_generator(grid, prob, args.action)
     pair = principal_eigenpair(gen, tol=args.tol)
@@ -117,8 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    prob = _resolve_problem(args)
-    h = args.h if args.h else default_spacing(prob)
+    prob, h = _resolve_problem(args)
     trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol)
     report = {
         "config": _config_dict(args, prob, h),
@@ -139,8 +130,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_qprocess(args: argparse.Namespace) -> int:
-    prob = _resolve_problem(args)
-    h = args.h if args.h else default_spacing(prob)
+    prob, h = _resolve_problem(args)
     trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol)
     grid, gen, pair = trace.grid, trace.final_generator, trace.final_pair
     model = doob_transform(gen, pair)
@@ -175,32 +165,20 @@ def cmd_qprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_variational(args: argparse.Namespace) -> int:
-    prob = _resolve_problem(args)
-    h = args.h if args.h else default_spacing(prob)
-    grid = build_grid(prob, h)
-    tr_max = policy_iteration(prob, h, mode="MAX", tol=args.tol, grid=grid)
-    cands = [candidate_from_trace("opt", tr_max)]
-    if prob.n_actions > 1:
-        tr_min = policy_iteration(prob, h, mode="MIN", tol=args.tol, grid=grid)
-        cands.append(candidate_from_trace("anti", tr_min))
-    w_grid = build_w_grid(grid, cands)
-    lp = build_occupation_lp(grid, prob, w_grid, cands)
-    sol = solve_lp(lp)
-    tp = transform_point(lp, 0, tr_max.final_policy)
-    model = doob_transform(tr_max.final_generator, tr_max.final_pair)
-    mu, _ = stationary_measures(tr_max.final_generator, model, tr_max.final_pair)
-    structure = verify_minimizer_structure(sol, mu, tr_max.final_policy, candidate=0)
+    prob, h = _resolve_problem(args)
+    check = occupation_check(prob, h, tol=args.tol)
+    sol, lp = check.sol, check.sol.lp
     report = {
         "config": _config_dict(args, prob, h),
         "lp_value": sol.value,
-        "lam_star": tr_max.lam,
-        "rel_gap": abs(sol.value - tr_max.lam) / abs(tr_max.lam),
-        "transform_point_objective": tp.objective,
+        "lam_star": check.lam_star,
+        "rel_gap": abs(sol.value - check.lam_star) / abs(check.lam_star),
+        "transform_point_objective": check.transform.objective,
         "n_variables": lp.n_variables,
         "n_wpoints": len(lp.w_grid),
         "iterations": sol.iterations,
         "feasibility_residual": sol.feasibility_residual,
-        "structure": structure,
+        "structure": check.structure,
     }
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -211,8 +189,7 @@ def cmd_variational(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    prob = _resolve_problem(args)
-    h = args.h if args.h else default_spacing(prob)
+    prob, h = _resolve_problem(args)
     grid = build_grid(prob, h)
     if prob.n_actions == 1:
         gen = assemble_generator(grid, prob, 0)
@@ -275,8 +252,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_representations(args: argparse.Namespace) -> int:
-    prob = _resolve_problem(args)
-    h = args.h if args.h else default_spacing(prob)
+    prob, h = _resolve_problem(args)
     rep = four_representations(prob, h, tol=args.tol)
     vals = rep["values"]
     labels = [

@@ -57,7 +57,3 @@ class TooFewSurvivors(ExitRateError):
 
 class Infeasible(ExitRateError):
     """Linear program has no feasible point."""
-
-
-class Unbounded(ExitRateError):
-    """Linear program objective is unbounded below."""

@@ -64,6 +64,8 @@ class Grid:
 
 def build_grid(problem: ProblemSpec, h: float) -> Grid:
     """Interior lattice with spacing h; h must divide every side of the box."""
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"spacing h must be finite and positive, got {h!r}")
     lo, hi = problem.lo, problem.hi
     dims: list[int] = []
     for k in range(len(lo)):

@@ -102,6 +102,16 @@ def _coefficients(problem, policy: Union[int, np.ndarray], grid: Optional[Grid])
     return drift, sigma
 
 
+def _check_run(dt: float, T: float, n_paths: int) -> None:
+    """Reject what no run can use; T = 0 is allowed and leaves every path at x0."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
+
+
 def simulate_killed(
     problem,
     policy: Union[int, np.ndarray],
@@ -114,6 +124,7 @@ def simulate_killed(
 ) -> TrajectoryEnsemble:
     """Euler-Maruyama until the first step that lands outside the open box."""
 
+    _check_run(dt, T, n_paths)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lo = np.asarray(problem.lo)
     hi = np.asarray(problem.hi)
@@ -329,6 +340,7 @@ def simulate_qprocess(
     never killed.
     """
 
+    _check_run(dt, T, n_paths)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lo, hi, h = grid.lo, grid.hi, grid.h
     if np.any(x0 <= lo + 2 * h) or np.any(x0 >= hi - 2 * h):

@@ -20,12 +20,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
-from .control import PolicyIterationTrace
-from .errors import TooLarge
-from .grid import Generator, Grid, assemble_generator, discrete_gradient
-from .qprocess import null_vector
-from .simplex import SimplexResult, solve_standard_lp
+from .control import MAX_SWEEPS, PolicyIterationTrace, policy_iteration
+from .errors import Infeasible, NoConvergence, TooLarge
+from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient
+from .qprocess import doob_transform, null_vector, stationary_measures
 from ._util import write_csv
 
 MAX_LP_VARIABLES = 50_000
@@ -249,15 +249,89 @@ class OccupationSolution:
         return _ordered_sum(self.pi, self.lp.action == policy[self.lp.node])
 
 
+def _evaluate(q: sp.csr_matrix, c_pol: np.ndarray, pin: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """Stationary law mu, gain g = mu . c_pol and bias of one policy's chain.
+
+    mu^T (q + 1 e_pin^T) b = b[pin] for every b, so the bias solving
+    (q + 1 e_pin^T) b = g - c_pol has b[pin] = 0 and c_pol + q b = g; the
+    added column makes the system nonsingular.
+    """
+    n = q.shape[0]
+    mu = null_vector(q, pin)
+    g = float(mu @ c_pol)
+    column = sp.csr_matrix((np.ones(n), (np.arange(n), np.full(n, pin))), shape=(n, n))
+    return mu, g, spsolve((q + column).tocsc(), g - c_pol)
+
+
 def solve_lp(lp: OccupationLP) -> OccupationSolution:
-    res: SimplexResult = solve_standard_lp(lp.a_eq.toarray(), lp.b_eq, lp.c)
+    """Optimal vertex of the program by average-cost policy iteration.
+
+    Variable j is a decision at node[j] with rate row rows[:, j] and cost
+    c[j].  Untilted rows that leak to the boundary carry no mass in any
+    feasible point and are dropped; any choice of one remaining row per node
+    is an irreducible chain.  A sweep evaluates the policy and moves a node
+    to the variable minimizing c_j + rows_j . bias when that beats its own by
+    more than 1e-12 * max(1, |g|).  At the fixed point each node takes the
+    lowest-index variable within that tolerance of its best, which is then
+    evaluated once more.  duals = (-bias / h^2, g) certifies the value
+    against a_eq.  See the README, "Occupation LP".
+    """
+    n = lp.grid.n
+    # Per-column sums by bincount: scipy's abs() and max() sort a matrix's
+    # entries in place, which would reorder the columns export_mps writes.
+    owner = np.repeat(np.arange(lp.n_variables), np.diff(lp.rows.indptr))
+    colsum = np.bincount(owner, weights=lp.rows.data, minlength=lp.n_variables)
+    leak = colsum < -1e-12 * np.bincount(owner, weights=np.abs(lp.rows.data), minlength=lp.n_variables)
+    keep = np.flatnonzero(~leak)
+    counts = np.bincount(lp.node[keep], minlength=n)
+    if not counts.all():
+        raise Infeasible(f"{int(np.sum(counts == 0))} of {n} nodes have only rows that leak")
+    rows, c, node = lp.rows[:, keep], lp.c[keep], lp.node[keep]
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+    def lowest_within(scores: np.ndarray, slack: float) -> np.ndarray:
+        near = scores <= np.minimum.reduceat(scores, starts)[node] + slack
+        return np.minimum.reduceat(np.where(near, np.arange(keep.size), keep.size), starts)
+
+    choice, pin, seen = starts, n // 2, set()
+    for sweep in range(1, MAX_SWEEPS + 1):
+        mu, g, bias = _evaluate(rows[:, choice].T.tocsr(), c[choice], pin)
+        scores = c + rows.T @ bias
+        tol = 1e-12 * max(1.0, abs(g))
+        better = scores[choice] > np.minimum.reduceat(scores, starts) + tol
+        if not better.any():
+            break
+        seen.add(choice.tobytes())
+        choice, pin = np.where(better, lowest_within(scores, 0.0), choice), int(np.argmax(mu))
+        if choice.tobytes() in seen:
+            raise NoConvergence(
+                f"occupation LP policy iteration entered a cycle at sweep {sweep}: the gain is "
+                f"g = {g!r} and {int(better.sum())} nodes change back to an earlier policy"
+            )
+    else:
+        raise NoConvergence(
+            f"occupation LP policy iteration did not converge in {MAX_SWEEPS} sweeps: at sweep "
+            f"{sweep} the gain is g = {g!r} and {int(better.sum())} nodes still change"
+        )
+    tie = lowest_within(scores, tol)
+    if np.any(tie != choice):
+        choice, sweep = tie, sweep + 1
+        mu, g, bias = _evaluate(rows[:, choice].T.tocsr(), c[choice], pin)
+    # A constant added to the bias moves a leaking row's reduced cost
+    # c_j + rows_j . bias - g by the constant times colsum_j and no other's:
+    # lower the bias until those are nonnegative too.
+    if leak.any():
+        reduced = lp.c[leak] + lp.rows[:, leak].T @ bias - g
+        bias = bias + min(0.0, float(np.min(reduced / -colsum[leak])))
+    pi = np.zeros(lp.n_variables)
+    pi[keep[choice]] = mu
     return OccupationSolution(
-        value=res.value,
-        pi=res.x,
+        value=g,
+        pi=pi,
         lp=lp,
-        duals=res.duals,
-        iterations=res.iterations,
-        feasibility_residual=res.feasibility_residual,
+        duals=np.append(-bias / lp.row_scale, g),
+        iterations=sweep,
+        feasibility_residual=float(np.abs(lp.a_eq @ pi - lp.b_eq).max()),
     )
 
 
@@ -341,6 +415,37 @@ def verify_minimizer_structure(
             tv <= TV_TOL and frac_policy >= MASS_TOL and nearest_mass >= MASS_TOL
         ),
     }
+
+
+@dataclass(frozen=True)
+class OccupationCheck:
+    lam_star: float
+    sol: OccupationSolution
+    transform: TransformPoint
+    structure: dict
+
+
+def occupation_check(problem, h: float, tol: float = 1e-10) -> OccupationCheck:
+    """The whole cross-check on one mesh: solve the program, price the matched
+    tilt and compare the optimum with the conditioned chain.
+
+    The tilts come from the MAX optimum ("stay", candidate 0) and, when there
+    is more than one action, the MIN optimum ("leave").  The transform point
+    and the structure check both refer to candidate 0.
+    """
+    grid = build_grid(problem, h)
+    tr_max = policy_iteration(problem, h, mode="MAX", tol=tol, grid=grid)
+    cands = [candidate_from_trace("stay", tr_max)]
+    if problem.n_actions > 1:
+        tr_min = policy_iteration(problem, h, mode="MIN", tol=tol, grid=grid)
+        cands.append(candidate_from_trace("leave", tr_min))
+    lp = build_occupation_lp(grid, problem, build_w_grid(grid, cands), cands)
+    sol = solve_lp(lp)
+    tp = transform_point(lp, 0, tr_max.final_policy)
+    gen, pair = tr_max.final_generator, tr_max.final_pair
+    mu, _ = stationary_measures(gen, doob_transform(gen, pair), pair)
+    structure = verify_minimizer_structure(sol, mu, tr_max.final_policy, candidate=0)
+    return OccupationCheck(lam_star=tr_max.lam, sol=sol, transform=tp, structure=structure)
 
 
 def _mps_field(value: float) -> str:

@@ -39,16 +39,7 @@ from .qprocess import (
     survival_asymptotics,
     verify_uniform_ergodicity,
 )
-from .variational import (
-    MASS_TOL,
-    TV_TOL,
-    build_occupation_lp,
-    build_w_grid,
-    candidate_from_trace,
-    solve_lp,
-    transform_point,
-    verify_minimizer_structure,
-)
+from .variational import MASS_TOL, TV_TOL, occupation_check
 
 DEFAULT_SEED = 20260814
 PI_HALF = float(np.pi**2 / 2.0)
@@ -273,35 +264,24 @@ def _c9_hjb_residual(cfg: dict) -> dict:
 
 def _c10_occupation_lp(cfg: dict) -> dict:
     t0 = time.perf_counter()
-    prob = validate_problem(bang_bang())
-    h = 1.0 / 8
-    grid = build_grid(prob, h)
-    tr_max = policy_iteration(prob, h, mode="MAX", tol=cfg["tol"], grid=grid)
-    tr_min = policy_iteration(prob, h, mode="MIN", tol=cfg["tol"], grid=grid)
-    cands = [candidate_from_trace("stay", tr_max), candidate_from_trace("leave", tr_min)]
-    w_grid = build_w_grid(grid, cands)
-    lp = build_occupation_lp(grid, prob, w_grid, cands)
-    sol = solve_lp(lp)
-    rel = abs(sol.value - tr_max.lam) / tr_max.lam
-    tp = transform_point(lp, 0, tr_max.final_policy)
-    tp_gap = abs(tp.objective - tr_max.lam)
-    model = doob_transform(tr_max.final_generator, tr_max.final_pair)
-    mu, _ = stationary_measures(tr_max.final_generator, model, tr_max.final_pair)
-    structure = verify_minimizer_structure(sol, mu, tr_max.final_policy, candidate=0)
+    check = occupation_check(validate_problem(bang_bang()), 1.0 / 8, tol=cfg["tol"])
+    lam = check.lam_star
+    rel = abs(check.sol.value - lam) / lam
+    tp_gap = abs(check.transform.objective - lam)
     runtime_ok = (time.perf_counter() - t0) < 120.0
-    passed = rel <= 0.05 and tp_gap <= 1e-8 and structure["all_ok"] and runtime_ok
+    passed = rel <= 0.05 and tp_gap <= 1e-8 and check.structure["all_ok"] and runtime_ok
     return _entry(
         10,
         "occupation-measure program recovers the optimal rate and minimizer",
         passed,
         {
-            "lp_value": sol.value,
-            "lam_star": tr_max.lam,
+            "lp_value": check.sol.value,
+            "lam_star": lam,
             "rel_gap": rel,
             "transform_point_gap": tp_gap,
-            "transform_point_residual": tp.stationarity_residual,
-            "n_variables": lp.n_variables,
-            "structure": {k: v for k, v in structure.items()},
+            "transform_point_residual": check.transform.stationarity_residual,
+            "n_variables": check.sol.lp.n_variables,
+            "structure": check.structure,
             "runtime_ok": runtime_ok,
         },
         {"rel_gap": 0.05, "transform_point_gap": 1e-8, "structure": f"tv<={TV_TOL:g}, mass>={MASS_TOL:g}", "runtime_s": 120.0},

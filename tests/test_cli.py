@@ -92,6 +92,32 @@ def test_variational_value_tracks_the_optimum(tmp_path):
     assert (out / "occupation.csv").exists()
 
 
+def test_variational_solves_rect_2d_at_an_eighth(capsys):
+    rc, rep = _run_json(capsys, ["variational", "--problem", "rect-2d", "--h", "0.125"])
+    assert rc == 0
+    assert rep["rel_gap"] <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["solve", "--h", "0"], "spacing h must be finite and positive, got 0.0"),
+        (["optimize", "--problem", "bang-bang", "--h", "-0.25"], "spacing h must be finite and positive, got -0.25"),
+        (["solve", "--h", "nan"], "spacing h must be finite and positive, got nan"),
+        (["simulate", "--h", "0.125", "--dt", "0"], "dt must be finite and positive, got 0.0"),
+        (["simulate", "--h", "0.125", "--dt", "-0.001"], "dt must be finite and positive, got -0.001"),
+        (["simulate", "--h", "0.125", "--T", "inf"], "T must be finite and nonnegative, got inf"),
+        (["simulate", "--h", "0.125", "--T", "-1"], "T must be finite and nonnegative, got -1.0"),
+        (["simulate", "--h", "0.125", "--paths", "0"], "n_paths must be at least 1, got 0"),
+    ],
+)
+def test_bad_spacing_step_or_path_count_is_rejected(capsys, argv, named):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
 def test_simulate_smoke(tmp_path):
     out = tmp_path / "sim"
     rc = main(

@@ -1,27 +1,39 @@
-"""Occupation-measure program: feasibility structure, values, dual pricing."""
+"""Occupation-measure program: feasibility structure, values, dual certificates."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from exitrate import variational
 from exitrate.control import policy_iteration
 from exitrate.eigen import principal_eigenpair
-from exitrate.errors import Infeasible, TooLarge
+from exitrate.errors import Infeasible, NoConvergence, TooLarge
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import ProblemSpec
 from exitrate.qprocess import doob_transform, null_vector, stationary_measures
-from exitrate.simplex import solve_standard_lp
 from exitrate.variational import (
     build_occupation_lp,
     build_w_grid,
     candidate_from_trace,
     export_mps,
     export_solution_csv,
+    occupation_check,
     solve_lp,
     transform_point,
     verify_minimizer_structure,
 )
+
+
+def assert_certificate(a_eq, b_eq, c, sol):
+    """sol.pi is feasible, and sol.duals prices every column and the value."""
+    a_eq = sp.csc_matrix(a_eq)
+    assert sol.pi.min() >= 0.0
+    assert np.abs(a_eq @ sol.pi - b_eq).max() <= 1e-12
+    reduced = c - a_eq.T @ sol.duals
+    assert np.all(reduced >= -1e-9 * np.maximum(1.0, np.abs(c)))
+    assert b_eq @ sol.duals == pytest.approx(sol.value, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +76,36 @@ def test_occupation_value_matches_the_optimal_rate(bang_bang, bang_bang_lp):
     grid, cands, lp, sol = bang_bang_lp
     lam_star = cands[0].lam
     assert abs(sol.value - lam_star) / lam_star <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("bang_bang", 8), ("bang_bang", 16), ("bang_bang", 32), ("bang_bang", 64), ("rect_2d", 4), ("rect_2d", 8)],
+)
+def test_solution_is_certified_optimal(request, name, k):
+    # The lp-enum meshes and rect-2d h=1/8: the value reaches lambda* and
+    # the duals certify it against the full program, leaking rows included.
+    check = occupation_check(request.getfixturevalue(name), 1.0 / k)
+    sol, lp = check.sol, check.sol.lp
+    assert abs(sol.value - check.lam_star) <= 1e-10 * check.lam_star
+    assert_certificate(lp.a_eq, lp.b_eq, lp.c, sol)
+    assert sol.feasibility_residual <= 1e-12
+
+
+def test_criterion_10_mesh_returns_the_conditioned_minimizer(bang_bang):
+    # The minimizer is not unique at h=1/8: the centre node ties between the
+    # two actions, and only the lowest-index tie puts the mass on the
+    # conditioned chain.
+    check = occupation_check(bang_bang, 1.0 / 8)
+    assert check.structure["all_ok"]
+    assert check.structure["tv_to_mu_tilde"] <= 1e-12
+
+
+def test_sweep_cap_reports_where_the_iteration_stood(bang_bang_lp, monkeypatch):
+    grid, cands, lp, sol = bang_bang_lp
+    monkeypatch.setattr(variational, "MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match=r"at sweep 1 the gain is g = \S+ and \d+ nodes still change"):
+        solve_lp(lp)
 
 
 def test_transform_point_weak_duality(bang_bang_lp):
@@ -217,9 +259,8 @@ def test_lp_exports(tmp_path, bang_bang_lp):
 
 # Reference: the per-variable layout the array program replaced.  Each
 # variable carries its own tilted generator row, and every consumer loops over
-# the variables.  The simplex's Bland path, and so the vertex it returns,
-# depends on every column's values and order, so the array program must
-# reproduce this one bit for bit.
+# the variables.  The array program must reproduce it bit for bit, and the
+# solver's point and certificate must hold against the reference program.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -402,10 +443,11 @@ def test_array_program_matches_the_per_variable_reference(request, name, h, fixe
         np.testing.assert_array_equal(lp.rows.indices[span], var.row_cols)
         assert _same_bits(lp.rows.data[span], var.row_vals)
 
+    indices, data = lp.rows.indices.copy(), lp.rows.data.copy()
     sol = solve_lp(lp)
-    res = solve_standard_lp(ref.a_eq, ref.b_eq, ref.c)
-    assert sol.value == res.value and sol.iterations == res.iterations
-    assert _same_bits(sol.pi, res.x) and _same_bits(sol.duals, res.duals)
+    assert_certificate(ref.a_eq, ref.b_eq, ref.c, sol)
+    # Solving leaves the program's entry order alone.
+    assert _same_bits(lp.rows.indices, indices) and _same_bits(lp.rows.data, data)
 
     tp = transform_point(lp, 0, policy)
     ref_pi, ref_objective, ref_resid = _ref_transform_point(ref, 0, policy)
