@@ -1,114 +1,108 @@
-"""Two-phase simplex against scipy's LP solver and classic corner cases."""
+"""Occupation-LP solver against scipy's LP solver and classic corner cases.
+
+The file keeps the name of the dense simplex it first tested; its cases now
+drive `variational.solve_lp`, Howard's policy iteration, on small random
+occupation programs: one stationarity row per node, a mass row, and per
+node a few generator rows with costs, some of them leaking to the boundary.
+"""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from exitrate.errors import Infeasible, NoConvergence, Unbounded
-from exitrate.simplex import _run, solve_standard_lp
+from exitrate.errors import Infeasible
+from exitrate.grid import build_grid
+from exitrate.variational import OccupationLP, WPoint, solve_lp
 
 
-def _random_lp(seed, m=6, n=12):
-    # b = A x0 with x0 >= 0 guarantees feasibility; c >= 0 guarantees a
-    # finite minimum over the nonnegative orthant.
+def _program(grid, node, c, rows):
+    """An OccupationLP over grid whose variable j is (node[j], rows[:, j], c[j])."""
+    node = np.asarray(node, dtype=np.int64)
+    n_var = node.size
+    return OccupationLP(
+        grid=grid,
+        w_grid=(WPoint(label="0", candidate=None, scale=0.0),),
+        candidates=(),
+        node=node,
+        action=np.zeros(n_var, dtype=np.int64),
+        wpoint=np.zeros(n_var, dtype=np.int64),
+        c=np.asarray(c, dtype=float),
+        nominal_w=np.zeros((n_var, grid.d)),
+        rows=sp.csc_matrix(rows, shape=(grid.n, n_var)),
+    )
+
+
+def _random_program(bm_interval, seed, m=6, k=2):
+    # m nodes with k generator rows each.  Every row jumps to both ring
+    # neighbours, so any choice of one conservative row per node is an
+    # irreducible chain; a leaking row also loses flux to the boundary.
+    # Each node's first row is conservative, so the program is feasible.
     rng = np.random.default_rng(seed)
-    a = rng.normal(0.0, 1.0, (m, n))
-    x0 = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.7)
-    b = a @ x0
-    c = rng.uniform(0.0, 3.0, n)
-    return a, b, c
+    grid = build_grid(bm_interval, 1.0 / (m + 1))
+    assert grid.n == m
+    node = np.repeat(np.arange(m), k)
+    rows = np.zeros((m, m * k))
+    for j, x in enumerate(node):
+        rows[(x - 1) % m, j] += rng.uniform(0.5, 2.0)
+        rows[(x + 1) % m, j] += rng.uniform(0.5, 2.0)
+        extra = (rng.random(m) < 0.3) & (np.arange(m) != x)
+        rows[extra, j] += rng.uniform(0.0, 1.0, int(extra.sum()))
+        rows[x, j] = -rows[:, j].sum()
+        if j % k and rng.random() < 0.3:
+            rows[x, j] -= rng.uniform(0.1, 1.0)
+    return _program(grid, node, rng.uniform(0.0, 3.0, m * k), rows)
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_random_instances_match_scipy(seed):
-    a, b, c = _random_lp(seed)
-    ref = linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+def test_random_instances_match_scipy(bm_interval, seed):
+    lp = _random_program(bm_interval, seed)
+    a, b = lp.a_eq.toarray(), lp.b_eq
+    ref = linprog(lp.c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
     assert ref.status == 0
-    res = solve_standard_lp(a, b, c)
+    res = solve_lp(lp)
     assert res.value == pytest.approx(ref.fun, abs=1e-7)
-    assert (res.x >= -1e-9).all()
-    assert np.abs(a @ res.x - b).max() <= 1e-7
-    assert res.feasibility_residual <= 1e-7
+    assert (res.pi >= 0.0).all()
+    assert np.abs(a @ res.pi - b).max() <= 1e-12
+    assert res.feasibility_residual <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_optimality_certificates(seed):
-    a, b, c = _random_lp(seed, m=4, n=9)
-    res = solve_standard_lp(a, b, c)
-    # Strong duality and complementary slackness at the reported solution.
-    assert float(b @ res.duals) == pytest.approx(res.value, abs=1e-8)
-    reduced = c - a.T @ res.duals
-    assert reduced.min() >= -1e-8
-    assert res.complementary_slackness <= 1e-8
-    assert abs(float(res.x @ reduced)) <= 1e-8
+def test_optimality_certificates(bm_interval, seed):
+    lp = _random_program(bm_interval, seed, m=3, k=3)
+    res = solve_lp(lp)
+    # Strong duality and complementary slackness at the reported solution,
+    # with the leaking rows priced too.
+    assert float(lp.b_eq @ res.duals) == pytest.approx(res.value, rel=1e-12)
+    reduced = lp.c - lp.a_eq.T @ res.duals
+    assert reduced.min() >= -1e-9 * max(1.0, np.abs(lp.c).max())
+    assert abs(float(res.pi @ reduced)) <= 1e-10
 
 
-def test_degenerate_cycling_instance_terminates():
-    # Beale's example: the textbook tableau on which the largest-coefficient
-    # rule cycles forever; anti-cycling pivoting must reach -1/20.
-    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
-    a = np.array(
-        [
-            [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
-            [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 1.0])
-    res = solve_standard_lp(a, b, c)
-    assert res.value == pytest.approx(-0.05, abs=1e-10)
+def test_degenerate_cycling_instance_terminates(bm_interval):
+    # Every row appears twice with the same cost, so every node ties at
+    # every sweep; the iteration must stop and keep the first copy.
+    base = _random_program(bm_interval, 3)
+    twice = np.repeat(np.arange(base.n_variables), 2)
+    lp = _program(base.grid, base.node[twice], base.c[twice], base.rows[:, twice])
+    res = solve_lp(lp)
+    assert res.value == pytest.approx(solve_lp(base).value, rel=1e-12)
     assert res.iterations < 100
+    assert np.all(res.pi[1::2] == 0.0)
 
 
-def test_pivot_cap_error_reports_where_the_simplex_stood():
-    # The phase-1 tableau of solve_standard_lp, run with a cap of one pivot.
-    a, b, _ = _random_lp(3)
-    a[b < 0] *= -1.0
-    b = np.abs(b)
-    m, n = a.shape
-    tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = a
-    tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    tab[-1, :n] = -a.sum(axis=0)
-    tab[-1, -1] = -b.sum()
-    with pytest.raises(NoConvergence) as err:
-        _run(tab, np.arange(n, n + m), n, cap=1, phase=1)
-    # The tableau is left where the simplex stopped, not yet optimal.
-    reduced = tab[-1, :n].min()
-    assert reduced < 0
-    assert str(err.value) == (
-        f"simplex phase 1 exceeded 1 pivots: after 2 pivots the objective is "
-        f"{-tab[-1, -1]:.12g} and the most negative reduced cost {reduced:.3e}"
-    )
+def test_contradictory_rows_are_infeasible(bm_interval):
+    # Stationarity needs every row's flux back, the mass row needs a unit
+    # of mass: at node 2 every row leaks, so no point meets both.
+    lp = _random_program(bm_interval, 0)
+    rows = lp.rows.toarray()
+    rows[2, lp.node == 2] -= 1.0
+    with pytest.raises(Infeasible, match=r"^1 of 6 nodes have only rows that leak$"):
+        solve_lp(_program(lp.grid, lp.node, lp.c, rows))
 
 
-def test_contradictory_rows_are_infeasible():
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 2.0])
-    with pytest.raises(Infeasible):
-        solve_standard_lp(a, b, np.zeros(2))
-
-
-def test_unbounded_ray_is_detected():
-    a = np.array([[1.0, -1.0]])
-    b = np.array([0.0])
-    with pytest.raises(Unbounded):
-        solve_standard_lp(a, b, np.array([-1.0, 0.0]))
-
-
-def test_redundant_row_with_negative_rhs():
-    # The flipped duplicate of the first row forces phase-1 sign handling.
-    a = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
-    b = np.array([1.0, -1.0, 0.0])
-    res = solve_standard_lp(a, b, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(res.x, [0.5, 0.5], atol=1e-10)
-    assert res.value == pytest.approx(0.5, abs=1e-10)
-
-
-def test_zero_variable_problem_rejected_or_solved_cleanly():
-    a = np.zeros((1, 3))
-    b = np.array([0.0])
-    res = solve_standard_lp(a, b, np.array([1.0, 2.0, 3.0]))
-    assert res.value == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(res.x, 0.0, atol=1e-12)
+def test_zero_variable_problem_rejected_or_solved_cleanly(bm_interval):
+    grid = build_grid(bm_interval, 0.25)
+    lp = _program(grid, [], [], np.zeros((grid.n, 0)))
+    with pytest.raises(Infeasible, match=r"^3 of 3 nodes have only rows that leak$"):
+        solve_lp(lp)
