@@ -10,6 +10,7 @@ the subcommand takes one, so a run can be replayed exactly.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -29,7 +30,7 @@ from .mc import (
     simulate_killed,
     simulate_qprocess,
 )
-from .problems import load_problem, problem_by_name, validate_problem
+from .problems import CATALOG, load_problem, problem_by_name, validate_problem
 from .qprocess import (
     doob_transform,
     export_measures_csv,
@@ -44,16 +45,24 @@ from .verify import DEFAULT_SEED, four_representations, run_acceptance
 
 
 def _params(args: argparse.Namespace) -> dict:
-    """--param KEY=VAL overrides as floats, in the order given."""
-    return {k: float(v) for k, _, v in (kv.partition("=") for kv in args.param or [])}
+    """--param KEY=VAL overrides as floats, in the order given; a problem file takes none."""
+    keys = list(inspect.signature(CATALOG[args.problem]).parameters) if args.problem in CATALOG else []
+    params = {}
+    for kv in args.param or []:
+        key, _, val = kv.partition("=")
+        try:
+            params[key] = float(val)
+        except ValueError:
+            key = None  # not a number: fails the check below
+        if key not in keys:
+            raise ExitRateError(f"--param {kv!r} needs KEY=VAL, VAL a number; {args.problem} takes {', '.join(keys) or 'none'}")
+    return params
 
 
 def _resolve_problem(args: argparse.Namespace):
     """The validated problem and the spacing: --h when given, else the default."""
-    if args.problem.endswith(".json"):
-        spec = load_problem(args.problem)
-    else:
-        spec = problem_by_name(args.problem, **_params(args))
+    params = _params(args)
+    spec = load_problem(args.problem) if args.problem.endswith(".json") else problem_by_name(args.problem, **params)
     prob = validate_problem(spec)
     return prob, (args.h if args.h is not None else default_spacing(prob))
 

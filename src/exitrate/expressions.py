@@ -11,6 +11,8 @@ Problems loaded from JSON carry their coefficients as strings such as
             | ("sin"|"cos"|"exp"|"log") "(" expr ")"
             | "(" expr ")"
 
+Python's ``ast`` parses it ("^" read as "**"); only the forms above compile, never through eval.
+
 Compiled expressions evaluate vectorized over an (n, d) array of points.  An
 expression that names neither coordinate also carries its value as
 ``constant``, so callers can broadcast it instead of evaluating it.
@@ -18,18 +20,22 @@ expression that names neither coordinate also carries its value as
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+# A number as the grammar spells it; Python's literals also cover 0x10, 1j, True and "...".
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?")
+# Outside the grammar: other characters, "**", and a number run into a name ("0x10", "1if").
+_DISALLOWED_RE = re.compile(r"[^A-Za-z0-9_\s.+\-*/^()]|\*\*|[0-9.](?![eE][+-]?[0-9])[A-Za-z_]")
+_LEADING_ZEROS_RE = re.compile(r"(?<![\w.])0+(?=\d)")
+
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 _FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sin": np.sin,
@@ -39,6 +45,7 @@ _FUNCTIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_COORDINATES = ("x1", "x2")
 
 
 class ExpressionError(ValueError):
@@ -66,122 +73,54 @@ class Expression:
         return np.asarray(out, dtype=float)
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ExpressionError(f"unexpected character {text[pos:].strip()[0]!r} at position {pos} in {text!r}")
-            break
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], source: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
-        self.uses_coordinates = False
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.source!r}")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.next()
-        if tok != ("op", op):
-            raise ExpressionError(f"expected {op!r} at token {self.pos} in {self.source!r}")
-
-    def parse(self) -> Callable:
-        fn = self.expr()
-        if self.peek() is not None:
-            raise ExpressionError(f"trailing input after position {self.pos} in {self.source!r}")
-        return fn
-
-    def expr(self) -> Callable:
-        fn = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.next()[1]
-            rhs = self.term()
-            fn = (lambda a, b: lambda p: a(p) + b(p))(fn, rhs) if op == "+" else (lambda a, b: lambda p: a(p) - b(p))(fn, rhs)
-        return fn
-
-    def term(self) -> Callable:
-        fn = self.unary()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            op = self.next()[1]
-            rhs = self.unary()
-            fn = (lambda a, b: lambda p: a(p) * b(p))(fn, rhs) if op == "*" else (lambda a, b: lambda p: a(p) / b(p))(fn, rhs)
-        return fn
-
-    def unary(self) -> Callable:
-        if self.peek() == ("op", "-"):
-            self.next()
-            inner = self.unary()
-            return lambda p: -inner(p)
-        return self.power()
-
-    def power(self) -> Callable:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            exponent = self.unary()
-            return lambda p: base(p) ** exponent(p)
-        return base
-
-    def atom(self) -> Callable:
-        kind, text = self.next()
-        if kind == "num":
-            value = float(text)
-            return lambda p: value
-        if kind == "name":
-            if text in _CONSTANTS:
-                value = _CONSTANTS[text]
-                return lambda p: value
-            if text in _FUNCTIONS:
-                func = _FUNCTIONS[text]
-                self.expect_op("(")
-                inner = self.expr()
-                self.expect_op(")")
-                return lambda p: func(inner(p))
-            if text in ("x1", "x2"):
-                self.uses_coordinates = True
-                axis = int(text[1]) - 1
-                def coord(p: np.ndarray, axis: int = axis) -> np.ndarray:
-                    if axis >= p.shape[1]:
-                        raise ExpressionError(f"coordinate x{axis + 1} used on a {p.shape[1]}-dimensional domain")
-                    return p[:, axis]
-                return coord
-            raise ExpressionError(f"unknown name {text!r} in {self.source!r}")
-        if (kind, text) == ("op", "("):
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError(f"unexpected token {text!r} in {self.source!r}")
+def _compile(node: ast.AST, source: str) -> Callable:
+    """The closure for a whitelisted node of source's tree; any other node is an ExpressionError."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op, a, b = _BINARY[type(node.op)], _compile(node.left, source), _compile(node.right, source)
+        return lambda p: op(a(p), b(p))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _compile(node.operand, source)
+        return lambda p: -inner(p)
+    segment = source[node.col_offset : node.end_col_offset]  # one line of ASCII: offsets are indices
+    if isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(segment):
+        value = float(segment)
+        return lambda p: value
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        value = _CONSTANTS[node.id]
+        return lambda p: value
+    if isinstance(node, ast.Name) and node.id in _COORDINATES:
+        axis = _COORDINATES.index(node.id)
+        def coord(p: np.ndarray) -> np.ndarray:
+            if axis >= p.shape[1]:
+                raise ExpressionError(f"coordinate x{axis + 1} used on a {p.shape[1]}-dimensional domain")
+            return p[:, axis]
+        return coord
+    # A call starts at its function's name: "(sin)(x1)" parses to the same tree as "sin(x1)".
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS and (
+        node.func.col_offset == node.col_offset and len(node.args) == 1 and not node.keywords
+    ):
+        func = _FUNCTIONS[node.func.id]
+        inner = _compile(node.args[0], source)
+        return lambda p: func(inner(p))
+    raise ExpressionError(f"{segment!r} is not allowed in {source!r}".replace("**", "^"))
 
 
 def parse_expression(text: str) -> Expression:
     """Parse a coefficient string into a vectorized callable field."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError(f"empty coefficient expression: {text!r}")
-    parser = _Parser(_tokenize(text), text)
-    fn = parser.parse()
-    return Expression(source=text, _fn=fn, constant=None if parser.uses_coordinates else _constant_value(fn))
+    bad = _DISALLOWED_RE.search(text)
+    if bad is not None:
+        raise ExpressionError(f"unexpected {bad.group()!r} in {text!r}")
+    # "^" is the power; Python reads neither "01" nor an indented start.
+    source = _LEADING_ZEROS_RE.sub("", " ".join(text.split()).replace("^", "**"))
+    try:
+        tree = ast.parse(source, mode="eval")
+        fn = _compile(tree.body, source)
+    except (SyntaxError, RecursionError) as exc:
+        raise ExpressionError(f"malformed expression {text!r}: {exc}") from None
+    uses_coordinates = any(isinstance(n, ast.Name) and n.id in _COORDINATES for n in ast.walk(tree))
+    return Expression(source=text, _fn=fn, constant=None if uses_coordinates else _constant_value(fn))
 
 
 def _constant_value(fn: Callable) -> Optional[float]:

@@ -187,49 +187,52 @@ def builtin_catalog() -> list[ProblemSpec]:
     return [bm_interval(), drift_interval(1.0), bang_bang(), rect_2d(1.0)]
 
 
+CATALOG = {"bm-interval": bm_interval, "drift-interval": drift_interval, "bang-bang": bang_bang, "rect-2d": rect_2d}
+
+
 def problem_by_name(name: str, **params: float) -> ProblemSpec:
     """Look up a catalog problem, optionally overriding its parameters."""
-    makers = {
-        "bm-interval": bm_interval,
-        "drift-interval": drift_interval,
-        "bang-bang": bang_bang,
-        "rect-2d": rect_2d,
-    }
-    if name not in makers:
-        raise KeyError(f"unknown catalog problem {name!r}; choices: {sorted(makers)}")
-    return makers[name](**params)  # type: ignore[arg-type]
+    if name not in CATALOG:
+        raise KeyError(f"unknown catalog problem {name!r}; choices: {sorted(CATALOG)}")
+    return CATALOG[name](**params)  # type: ignore[arg-type]
+
+
+# The problem-file keys in ProblemSpec field order, each with its list depth and entry type.
+_FILE_FIELDS = (("name", 0, str), ("dim", 0, int), ("bounds", 2, float), ("actions", 1, str),
+                ("drift", 2, str), ("sigma", 1, str), ("c0", 0, float))
 
 
 def save_problem(spec: ProblemSpec, path: str) -> None:
-    doc = {
-        "name": spec.name,
-        "dim": spec.dim,
-        "bounds": [list(b) for b in spec.bounds],
-        "actions": list(spec.actions),
-        "drift": [list(row) for row in spec.drift_exprs],
-        "sigma": list(spec.sigma_exprs),
-        "c0": spec.c0,
-    }
+    doc = dict(zip((key for key, _, _ in _FILE_FIELDS), _spec_fields(spec).values()))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _nested(value, depth: int, entry: type):
+    """value as tuples nested depth lists deep; a string is not a list of its characters."""
+    if depth == 0:
+        return entry(value)
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(_nested(v, depth - 1, entry) for v in value)
+
+
 def load_problem(path: str) -> ProblemSpec:
+    """The problem in a save_problem file; a missing or malformed field is a ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    try:
-        return ProblemSpec(
-            name=str(doc["name"]),
-            dim=int(doc["dim"]),
-            bounds=tuple((float(lo), float(hi)) for lo, hi in doc["bounds"]),
-            actions=tuple(str(a) for a in doc["actions"]),
-            drift_exprs=tuple(tuple(str(e) for e in row) for row in doc["drift"]),
-            sigma_exprs=tuple(str(e) for e in doc["sigma"]),
-            c0=float(doc.get("c0", 1.0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"problem file {path} is missing field {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"problem file {path} holds a JSON {type(doc).__name__}, not an object")
+    fields = []
+    for key, depth, entry in _FILE_FIELDS:
+        if key not in doc and key != "c0":
+            raise ValueError(f"problem file {path} is missing field {key!r}")
+        try:
+            fields.append(_nested(doc.get(key, 1.0), depth, entry))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"problem file {path}: field {key!r} is malformed: {exc}") from None
+    return ProblemSpec(*fields)
 
 
 def with_bounds(spec: ProblemSpec, bounds: Sequence[Sequence[float]]) -> ProblemSpec:

@@ -42,6 +42,8 @@ from .qprocess import (
 from .variational import MASS_TOL, TV_TOL, occupation_check
 
 DEFAULT_SEED = 20260814
+Q_PATHS = 32  # criterion 12's confined process: paths,
+Q_DT = 1e-3  # and time step
 PI_HALF = float(np.pi**2 / 2.0)
 
 
@@ -145,20 +147,14 @@ def _c4_exact_conjugation(cfg: dict) -> dict:
     )
 
 
-def _optimal_generator(prob, h: float, tol: float):
-    """Best-surviving policy's (grid, generator, pair, policy)."""
-    trace = policy_iteration(prob, h, mode="MAX", tol=tol)
-    return trace.grid, trace.final_generator, trace.final_pair, trace.final_policy
-
-
 def _c5_product_identity(cfg: dict) -> dict:
     rows = []
     ok = True
     for spec in builtin_catalog():
         prob = validate_problem(spec)
-        _, gen, pair, _ = _optimal_generator(prob, 1.0 / 32, cfg["tol"])
-        model = doob_transform(gen, pair)
-        stationary_measures(gen, model, pair)
+        trace = policy_iteration(prob, 1.0 / 32, mode="MAX", tol=cfg["tol"])
+        model = doob_transform(trace.final_generator, trace.final_pair)
+        stationary_measures(trace.final_generator, model, trace.final_pair)
         resid = model.product_residual
         ok = ok and resid <= 1e-12
         rows.append({"problem": prob.name, "l1_gap": resid})
@@ -294,9 +290,9 @@ def _c11_lyapunov(cfg: dict) -> dict:
     for spec in builtin_catalog():
         prob = validate_problem(spec)
         h = 1.0 / 64 if prob.dim == 1 else 1.0 / 32
-        _, gen, pair, policy = _optimal_generator(prob, h, cfg["tol"])
-        cert = lyapunov_certificate(prob, h, policy, tol=cfg["tol"])
-        model = doob_transform(gen, pair)
+        trace = policy_iteration(prob, h, mode="MAX", tol=cfg["tol"])
+        cert = lyapunov_certificate(prob, h, trace.final_policy, tol=cfg["tol"])
+        model = doob_transform(trace.final_generator, trace.final_pair)
         pointwise = cert.check(model.g_tilde)
         ok = ok and cert.rho > 0 and pointwise
         rows.append(
@@ -539,8 +535,6 @@ def run_acceptance(
     mc_paths: int = 100_000,
     mc_dt: float = 1e-4,
     q_T: float = 50.0,
-    q_paths: int = 32,
-    q_dt: float = 1e-3,
     tol: float = 1e-10,
     echo: bool = False,
 ) -> dict:
@@ -551,8 +545,8 @@ def run_acceptance(
         "mc_paths": int(mc_paths),
         "mc_dt": float(mc_dt),
         "q_T": float(q_T),
-        "q_paths": int(q_paths),
-        "q_dt": float(q_dt),
+        "q_paths": Q_PATHS,
+        "q_dt": Q_DT,
         "tol": float(tol),
     }
     entries = []

@@ -183,6 +183,42 @@ def test_missing_problem_file_fails_cleanly(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_problem_file_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"name": "bad", "dim": 1, "bounds": 5, "actions": ["0"], "drift": [["0"]], "sigma": ["1"]}))
+    rc = main(["solve", "--problem", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "'bounds'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "problem, param, accepted",
+    [
+        ("drift-interval", "x=1", "takes c"),
+        ("bm-interval", "c=1", "takes none"),
+        ("drift-interval", "c", "takes c"),
+        ("drift-interval", "c=", "takes c"),
+        ("drift-interval", "c=two", "takes c"),
+        ("rect-2d", "c=1", "takes b"),
+    ],
+)
+def test_bad_param_fails_cleanly(capsys, problem, param, accepted):
+    rc = main(["solve", "--problem", problem, "--param", param, "--h", "0.125"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: --param {param!r}")
+    assert problem in err and accepted in err
+
+
+def test_param_on_a_problem_file_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "custom.json"
+    save_problem(problem_by_name("bm-interval"), str(path))
+    rc = main(["solve", "--problem", str(path), "--param", "c=1"])
+    assert rc == 1
+    assert "takes none" in capsys.readouterr().err
+
+
 def test_nonconforming_spacing_fails_cleanly(capsys):
     rc = main(["solve", "--problem", "bm-interval", "--h", "0.3"])
     assert rc == 1

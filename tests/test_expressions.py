@@ -1,7 +1,11 @@
 """Coefficient-expression parser: agreement with direct numpy, error paths."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exitrate.expressions import Expression, ExpressionError, parse_expression
 
@@ -47,11 +51,43 @@ def test_output_shape_is_one_value_per_point():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x1 +", "2 ** 3", "foo(x1)", "x3", "sin()", "1 2", "(x1", "x1 @ x2", "sin"],
+    ["", "x1 +", "2 ** 3", "foo(x1)", "x3", "sin()", "1 2", "(x1", "x1 @ x2", "sin"]
+    # Python reads these; the grammar does not.
+    + ["0x10", "1_0", "1j", "True", "+x1", "x1 // 2", "x1 % 2", "sin(x1,)", "sin(x=1)", "x1 if x2 else 1"]
+    + ["x1 < 2", "x1.real", "not x1", "x1[0]", "'a'", "__import__('os')", "2^^3", "(sin)(x1)", "1if x1 else 2"]
+    + [
+        pytest.param("(" * 300 + "x1" + ")" * 300, id="300-nested-parentheses"),
+        pytest.param("-" * 5000 + "x1", id="5000-nested-minuses"),
+    ],
 )
 def test_malformed_text_raises(bad):
     with pytest.raises(ExpressionError):
         parse_expression(bad)
+
+
+def test_number_run_into_a_name_raises_without_a_syntax_warning():
+    # Python warns about "1if" and "0x1for" before it fails or reads them.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for text in ["1if x1 else 2", "0x1for", "1.5not x1"]:
+            with pytest.raises(ExpressionError):
+                parse_expression(text)
+    assert caught == []
+
+
+@pytest.mark.parametrize(
+    "text, fn",
+    [
+        ("01", lambda p: np.ones(len(p))),
+        ("1.e5", lambda p: np.full(len(p), 1e5)),
+        ("  x1 ", lambda p: p[:, 0]),
+        ("x1 +\n x2", lambda p: p[:, 0] + p[:, 1]),
+        ("2^-1", lambda p: np.full(len(p), 0.5)),
+    ],
+)
+def test_accepted_quirks_of_the_grammar(text, fn):
+    pts = _pts()
+    np.testing.assert_array_equal(parse_expression(text)(pts), fn(pts))
 
 
 def test_second_coordinate_rejected_on_1d_points():
@@ -84,3 +120,96 @@ def test_warning_constant_still_warns_at_evaluation(text, value):
     with pytest.warns(RuntimeWarning):
         out = parse_expression(text)(_pts(n=3))
     np.testing.assert_array_equal(out, np.full(3, value))
+
+
+# Random grammar trees.  A leaf is ("num", text, value) or ("name", one of x1
+# x2 pi e); inner nodes are ("neg", t), ("call", fn, t) and ("bin", op, l, r).
+# Binding strength, loosest first: + -, * /, unary -, ^, atom.
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+# (left, right) strength each operand needs: + - * / associate to the left,
+# ^ to the right and takes an atom as its base.
+_OPERANDS = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (5, 3)}
+_NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+_ARITHMETIC = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b,
+    "^": lambda a, b: a**b,
+}
+
+
+@st.composite
+def _numbers(draw):
+    digits = draw(st.from_regex(r"[0-9]{1,3}(\.[0-9]{0,3})?([eE][+-]?[0-9]{1,2})?|\.[0-9]{1,3}", fullmatch=True))
+    return ("num", "0" * draw(st.integers(0, 2)) + digits, float(digits))
+
+
+_leaves = _numbers() | st.sampled_from([("name", "x1"), ("name", "x2"), ("name", "pi"), ("name", "e")])
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.tuples(st.just("neg"), sub)
+    | st.tuples(st.just("call"), st.sampled_from(sorted(_NUMPY)), sub)
+    | st.tuples(st.just("bin"), st.sampled_from(sorted(_LEVEL)), sub, sub),
+    max_leaves=12,
+)
+
+
+def _render(tree, draw_space, draw_paren) -> tuple[str, int]:
+    """tree as text and its binding strength; parentheses where the grammar
+    needs them, and sometimes where it does not."""
+
+    def operand(sub, need):
+        text, level = _render(sub, draw_space, draw_paren)
+        return f"({draw_space()}{text}{draw_space()})" if level < need or draw_paren() else text
+
+    kind = tree[0]
+    if kind in ("num", "name"):
+        return tree[1], 5
+    if kind == "neg":
+        return "-" + draw_space() + operand(tree[1], 3), 3
+    if kind == "call":
+        return f"{tree[1]}{draw_space()}({draw_space()}{operand(tree[2], 1)}{draw_space()})", 5
+    op, left, right = tree[1:]
+    need_left, need_right = _OPERANDS[op]
+    text = operand(left, need_left) + draw_space() + op + draw_space() + operand(right, need_right)
+    return text, _LEVEL[op]
+
+
+def _direct(tree, pts):
+    """tree evaluated with numpy, one operation per node, as the grammar reads it."""
+    kind = tree[0]
+    if kind == "num":
+        return tree[2]
+    if kind == "name":
+        return {"x1": pts[:, 0], "x2": pts[:, 1], "pi": np.pi, "e": np.e}[tree[1]]
+    if kind == "neg":
+        return -_direct(tree[1], pts)
+    if kind == "call":
+        return _NUMPY[tree[1]](_direct(tree[2], pts))
+    return _ARITHMETIC[tree[1]](_direct(tree[2], pts), _direct(tree[3], pts))
+
+
+def _outcome(fn, pts):
+    """fn(pts) as one float per point, or the type of the error it raised."""
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = fn(pts)
+            return np.full(len(pts), float(out)) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees, data=st.data())
+def test_random_trees_match_direct_numpy_bit_for_bit(tree, data):
+    spaces = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+    text, _ = _render(tree, lambda: data.draw(spaces), lambda: data.draw(st.booleans()) and data.draw(st.booleans()))
+    pts = _pts(n=16)
+    got = _outcome(parse_expression(text), pts)
+    want = _outcome(lambda p: _direct(tree, p), pts)
+    if isinstance(want, type):
+        assert got is want, text
+    else:
+        np.testing.assert_array_equal(got, want, err_msg=text)

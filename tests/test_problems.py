@@ -1,5 +1,7 @@
 """Problem catalog, validation screens, and (de)serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -122,3 +124,36 @@ def test_with_bounds_changes_only_the_box():
     assert wide.bounds == ((0.0, 1.25),)
     pts = np.array([[0.6], [1.1]])
     np.testing.assert_allclose(wide.sigma(pts), spec.sigma(pts))
+
+
+_BM_FILE = {"name": "bm", "dim": 1, "bounds": [[0.0, 1.0]], "actions": ["0"], "drift": [["0"]], "sigma": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (_BM_FILE | {"bounds": 5}, "bounds"),
+        (_BM_FILE | {"bounds": [[0.0, "one"]]}, "bounds"),
+        (_BM_FILE | {"c0": None}, "c0"),
+        (_BM_FILE | {"dim": "one"}, "dim"),
+        (_BM_FILE | {"sigma": "1"}, "sigma"),
+        (_BM_FILE | {"actions": "0"}, "actions"),
+        (_BM_FILE | {"drift": ["0"]}, "drift"),
+        ({k: v for k, v in _BM_FILE.items() if k != "drift"}, "missing field 'drift'"),
+        ([_BM_FILE], "JSON list, not an object"),
+    ],
+)
+def test_malformed_problem_file_names_file_and_field(tmp_path, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field) as info:
+        load_problem(str(path))
+    assert str(path) in str(info.value)
+
+
+def test_problem_file_defaults_c0_and_reads_numbers_as_text(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_BM_FILE | {"drift": [[0]], "sigma": [1]}))
+    spec = load_problem(str(path))
+    assert spec.c0 == 1.0
+    assert (spec.drift_exprs, spec.sigma_exprs) == ((("0",),), ("1",))
