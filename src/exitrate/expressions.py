@@ -68,6 +68,8 @@ class Expression:
         if pts.ndim == 1:
             pts = pts[:, None]
         out = self._fn(pts)
+        if np.iscomplexobj(out):
+            raise ExpressionError(f"{self.source!r} takes a complex value")
         if np.ndim(out) == 0:
             out = np.full(pts.shape[0], float(out))
         return np.asarray(out, dtype=float)
@@ -120,18 +122,21 @@ def parse_expression(text: str) -> Expression:
     except (SyntaxError, RecursionError) as exc:
         raise ExpressionError(f"malformed expression {text!r}: {exc}") from None
     uses_coordinates = any(isinstance(n, ast.Name) and n.id in _COORDINATES for n in ast.walk(tree))
-    return Expression(source=text, _fn=fn, constant=None if uses_coordinates else _constant_value(fn))
+    return Expression(source=text, _fn=fn, constant=None if uses_coordinates else _constant_value(fn, text))
 
 
-def _constant_value(fn: Callable) -> Optional[float]:
+def _constant_value(fn: Callable, source: str) -> Optional[float]:
     """The value of a coordinate-free expression, or None if evaluating it
-    fails or warns.
+    fails or warns; a complex value, as of (-1)^0.5, is an ExpressionError.
 
-    A failure (1/0, a complex power) or a warning (log(0), exp(1000)) is
-    left to happen where it always did, at evaluation.
+    A failure (1/0) or a warning (log(0), exp(1000)) is left to happen where
+    it always did, at evaluation.
     """
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return float(fn(None))
+            value = fn(None)
     except (ArithmeticError, TypeError, ValueError):
         return None
+    if np.iscomplexobj(value):
+        raise ExpressionError(f"{source!r} takes a complex value")
+    return float(value)

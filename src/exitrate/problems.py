@@ -11,8 +11,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -56,7 +57,7 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if len(self.bounds) != self.dim:
+        if len(self.bounds) != self.dim or any(len(b) != 2 for b in self.bounds):
             raise ValueError("bounds must have one (lo, hi) pair per axis")
         for lo, hi in self.bounds:
             if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
@@ -197,8 +198,9 @@ def problem_by_name(name: str, **params: float) -> ProblemSpec:
     return CATALOG[name](**params)  # type: ignore[arg-type]
 
 
-# The problem-file keys in ProblemSpec field order, each with its list depth and entry type.
-_FILE_FIELDS = (("name", 0, str), ("dim", 0, int), ("bounds", 2, float), ("actions", 1, str),
+# The problem-file keys in ProblemSpec field order, each with its list depth and entry
+# conversion; operator.index takes an integer and rejects 1.7 instead of truncating it.
+_FILE_FIELDS = (("name", 0, str), ("dim", 0, operator.index), ("bounds", 2, float), ("actions", 1, str),
                 ("drift", 2, str), ("sigma", 1, str), ("c0", 0, float))
 
 
@@ -209,7 +211,7 @@ def save_problem(spec: ProblemSpec, path: str) -> None:
         fh.write("\n")
 
 
-def _nested(value, depth: int, entry: type):
+def _nested(value, depth: int, entry: Callable):
     """value as tuples nested depth lists deep; a string is not a list of its characters."""
     if depth == 0:
         return entry(value)
@@ -232,7 +234,10 @@ def load_problem(path: str) -> ProblemSpec:
             fields.append(_nested(doc.get(key, 1.0), depth, entry))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"problem file {path}: field {key!r} is malformed: {exc}") from None
-    return ProblemSpec(*fields)
+    try:
+        return ProblemSpec(*fields)
+    except ValueError as exc:
+        raise ValueError(f"problem file {path}: {exc}") from None
 
 
 def with_bounds(spec: ProblemSpec, bounds: Sequence[Sequence[float]]) -> ProblemSpec:

@@ -19,7 +19,7 @@ from scipy.sparse.linalg import spsolve
 
 from ._util import philox
 from .control import policy_iteration
-from .eigen import EigenPair, check_irreducible, principal_eigenpair
+from .eigen import PERMC_SPEC, EigenPair, check_irreducible, principal_eigenpair
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
 from .grid import (
     Generator,
@@ -118,7 +118,7 @@ def null_vector(mat: sp.spmatrix | np.ndarray, pin: int) -> np.ndarray:
     )
     rhs = np.zeros(n)
     rhs[pin] = 1.0
-    mu = spsolve(system, rhs)
+    mu = spsolve(system, rhs, permc_spec=PERMC_SPEC)
     if not np.all(np.isfinite(mu)):
         raise NullVectorNotUnique("singular system while solving for the invariant vector")
     if mu.min() < -1e-10 * np.abs(mu).max():

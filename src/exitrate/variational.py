@@ -23,6 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from .control import MAX_SWEEPS, PolicyIterationTrace, policy_iteration
+from .eigen import PERMC_SPEC
 from .errors import Infeasible, NoConvergence, TooLarge
 from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient
 from .qprocess import doob_transform, null_vector, stationary_measures
@@ -260,7 +261,7 @@ def _evaluate(q: sp.csr_matrix, c_pol: np.ndarray, pin: int) -> tuple[np.ndarray
     mu = null_vector(q, pin)
     g = float(mu @ c_pol)
     column = sp.csr_matrix((np.ones(n), (np.arange(n), np.full(n, pin))), shape=(n, n))
-    return mu, g, spsolve((q + column).tocsc(), g - c_pol)
+    return mu, g, spsolve((q + column).tocsc(), g - c_pol, permc_spec=PERMC_SPEC)
 
 
 def solve_lp(lp: OccupationLP) -> OccupationSolution:

@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exitrate.eigen import cw_bounds, principal_eigenpair
+from exitrate.eigen import PERMC_SPEC, cw_bounds, principal_eigenpair
 from exitrate.errors import NoConvergence, NonPositiveEigenvector
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import problem_by_name, with_bounds
@@ -138,10 +139,10 @@ def test_single_node_shortcut():
 
 
 def test_roundoff_floor_stall_fails_fast_with_a_diagnosis(bm_interval):
-    # At h=1/1024 the left iteration's bracket stalls at its roundoff floor,
-    # about 6.4e-10, above tol * lambda = 4.9e-10: the solver must say so
+    # At h=1/2048 the right iteration's bracket stalls at its roundoff floor,
+    # about 2.3e-9, above tol * lambda = 4.9e-10: the solver must say so
     # within a few hundred steps instead of spinning to max_iter.
-    gen = assemble_generator(build_grid(bm_interval, 1 / 1024), bm_interval, 0)
+    gen = assemble_generator(build_grid(bm_interval, 1 / 2048), bm_interval, 0)
     with pytest.raises(NoConvergence) as err:
         principal_eigenpair(gen)
     msg = str(err.value)
@@ -149,6 +150,24 @@ def test_roundoff_floor_stall_fails_fast_with_a_diagnosis(bm_interval):
     assert "has not halved" in msg
     assert re.search(r"CW bracket \[4\.93\d*, 4\.93\d*\]", msg)
     assert re.search(r"residual .* = \d\.\d+e-\d+", msg)
+
+
+def test_bm_interval_h1024_converges_at_the_default_tolerance(bm_interval):
+    # Under the minimum-degree ordering both brackets get below tol * lambda.
+    gen = assemble_generator(build_grid(bm_interval, 1 / 1024), bm_interval, 0)
+    pair = principal_eigenpair(gen)
+    lo, hi = pair.cw_interval
+    assert hi - lo <= 1e-10 * pair.lam
+    assert lo <= pair.lam <= hi
+    assert abs(pair.lam - np.pi**2 / 2) <= 1e-3
+
+
+def test_minimum_degree_ordering_roughly_halves_the_lu_fill():
+    # rect-2d's 5-point stencil at h=1/128 (n=16,129): minimum degree on
+    # A+A^T gives about 0.55 of the fill of scipy's default COLAMD.
+    mat = (-_generator("rect-2d", 1 / 128).matrix).tocsc()
+    default, ordered = splu(mat), splu(mat, permc_spec=PERMC_SPEC)
+    assert ordered.L.nnz + ordered.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
 
 @pytest.mark.parametrize("action", [0, 1])

@@ -1,5 +1,6 @@
 """Coefficient-expression parser: agreement with direct numpy, error paths."""
 
+import re
 import warnings
 
 import numpy as np
@@ -110,6 +111,20 @@ def test_other_expressions_have_no_constant(text):
     assert parse_expression(text).constant is None
 
 
+@pytest.mark.parametrize("text", ["sin((-1)^0.5)", "(-8)^(1/3)"])
+def test_complex_constant_is_rejected_naming_the_source(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExpressionError, match=re.escape(repr(text))):
+            parse_expression(text)
+
+
+def test_complex_value_is_rejected_at_evaluation():
+    expr = parse_expression("x1 * (-1)^0.5")
+    with pytest.raises(ExpressionError, match=re.escape("'x1 * (-1)^0.5'")):
+        expr(_pts(n=3))
+
+
 def test_failing_constant_still_raises_at_evaluation():
     with pytest.raises(ZeroDivisionError):
         parse_expression("1/0")(_pts(n=3))
@@ -191,11 +206,14 @@ def _direct(tree, pts):
 
 
 def _outcome(fn, pts):
-    """fn(pts) as one float per point, or the type of the error it raised."""
+    """fn(pts) as one float per point, or the type of the error it raised;
+    a complex value counts as an ExpressionError."""
     try:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             out = fn(pts)
+            if np.iscomplexobj(out):
+                return ExpressionError
             return np.full(len(pts), float(out)) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
     except Exception as exc:  # the type is what is compared
         return type(exc)
@@ -207,7 +225,8 @@ def test_random_trees_match_direct_numpy_bit_for_bit(tree, data):
     spaces = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
     text, _ = _render(tree, lambda: data.draw(spaces), lambda: data.draw(st.booleans()) and data.draw(st.booleans()))
     pts = _pts(n=16)
-    got = _outcome(parse_expression(text), pts)
+    # A coordinate-free complex value is rejected by the parse itself.
+    got = _outcome(lambda p: parse_expression(text)(p), pts)
     want = _outcome(lambda p: _direct(tree, p), pts)
     if isinstance(want, type):
         assert got is want, text

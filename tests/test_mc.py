@@ -10,7 +10,7 @@ from scipy.linalg import expm
 
 from exitrate._util import THREADS_ENV, philox
 from exitrate.eigen import principal_eigenpair
-from exitrate.errors import TooFewSurvivors
+from exitrate.errors import TooFewSurvivors, TooLargeForDense
 from exitrate.expressions import ExpressionError
 from exitrate.control import policy_iteration
 from exitrate.grid import assemble_generator, build_grid, discrete_gradient
@@ -30,7 +30,7 @@ from exitrate.mc import (
     simulate_qprocess,
 )
 from exitrate.problems import ProblemSpec
-from exitrate.qprocess import doob_transform
+from exitrate.qprocess import DENSE_CAP, doob_transform
 
 SEED = 20260814
 
@@ -70,6 +70,13 @@ def test_ctmc_survival_matches_the_dense_semigroup(three_node):
     p_hat = ens.censored.mean()
     stderr = np.sqrt(p_hat * (1 - p_hat) / ens.censored.size)
     assert abs(p_hat - oracle) <= 3.0 * stderr
+
+
+def test_ctmc_refuses_a_chain_beyond_the_dense_cap(bm_interval):
+    gen = assemble_generator(build_grid(bm_interval, 1 / 2048), bm_interval, 0)
+    assert gen.matrix.shape[0] > DENSE_CAP
+    with pytest.raises(TooLargeForDense, match=f"cap {DENSE_CAP}"):
+        simulate_ctmc(gen, 0, T=1.0, seed=SEED)
 
 
 def test_rate_estimator_recovers_a_synthetic_exponential():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from exitrate.errors import EllipticityViolation, NonFiniteCoefficient, TooLarge
+from exitrate.expressions import ExpressionError
 from exitrate.problems import (
     ProblemSpec,
     builtin_catalog,
@@ -62,6 +63,12 @@ def test_degenerate_diffusion_is_rejected():
 def test_non_finite_drift_is_rejected():
     spec = ProblemSpec("bad", 1, ((0.0, 1.0),), ("0",), (("log(-1)",),), ("1",))
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteCoefficient):
+        validate_problem(spec)
+
+
+def test_complex_coefficient_is_rejected():
+    spec = ProblemSpec("complex", 1, ((0.0, 1.0),), ("0",), (("x1*(-1)^0.5",),), ("1",))
+    with pytest.raises(ExpressionError, match="complex"):
         validate_problem(spec)
 
 
@@ -141,6 +148,8 @@ _BM_FILE = {"name": "bm", "dim": 1, "bounds": [[0.0, 1.0]], "actions": ["0"], "d
         (_BM_FILE | {"drift": ["0"]}, "drift"),
         ({k: v for k, v in _BM_FILE.items() if k != "drift"}, "missing field 'drift'"),
         ([_BM_FILE], "JSON list, not an object"),
+        (_BM_FILE | {"bounds": [[0, 1, 2]]}, "bounds"),
+        (_BM_FILE | {"dim": 1.7}, "dim"),
     ],
 )
 def test_malformed_problem_file_names_file_and_field(tmp_path, doc, field):

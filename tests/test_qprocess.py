@@ -10,11 +10,12 @@ from scipy.linalg import expm
 from exitrate import qprocess
 from exitrate.control import policy_iteration
 from exitrate.eigen import EigenPair, principal_eigenpair
-from exitrate.errors import IllConditioned, NullVectorNotUnique
+from exitrate.errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import drift_interval as drift_interval_spec
-from exitrate.problems import validate_problem
+from exitrate.problems import ProblemSpec, validate_problem
 from exitrate.qprocess import (
+    DENSE_CAP,
     QProcessModel,
     doob_transform,
     export_measures_csv,
@@ -339,6 +340,28 @@ def test_uniform_ergodicity_certificates_hold_for_sampled_policies(bang_bang):
     assert res["certificate"]["rho"] > 0.0
     assert res["slack_bound_ch"] > 0.0
     assert len(res["per_policy"]) == 3
+
+
+def test_uniform_ergodicity_needs_nodes_beyond_2h(bang_bang):
+    # At h=1/2 the three nodes lie within 2h of the boundary.
+    with pytest.raises(NoCertificate, match="no nodes at distance > 2h"):
+        verify_uniform_ergodicity(bang_bang, 1 / 2, n_policies=1)
+
+
+def test_drift_certificate_needs_a_node_in_the_centre_ball():
+    # On a 1 x 1.5 box at h=1/2 the centre lies h/2 = 0.25 from its nearest nodes,
+    # on the ball's radius 0.25 * 1 and so outside it.
+    spec = ProblemSpec("oblong", 2, ((0.0, 1.0), (0.0, 1.5)), ("0",), (("0", "0"),), ("1", "1"))
+    with pytest.raises(NoCertificate, match="ball of radius 0.25 contains no grid node"):
+        lyapunov_certificate(spec, 1 / 2, 0)
+
+
+def test_conjugation_check_refuses_a_chain_beyond_the_dense_cap(bm_interval):
+    gen = assemble_generator(build_grid(bm_interval, 1 / 2048), bm_interval, 0)
+    n = gen.matrix.shape[0]
+    assert n > DENSE_CAP
+    with pytest.raises(TooLargeForDense, match=f"capped at n={DENSE_CAP}, got {n}"):
+        girsanov_check(gen, _fake_pair(np.pi**2 / 2, np.ones(n)), 0.1, np.ones(n))
 
 
 def _dense_row_null_vector(mat):
