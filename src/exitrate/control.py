@@ -5,7 +5,10 @@ eigenvalue lambda* is the optimal exit rate, the minimum over policies; MIN
 mode minimizes it and reaches lambda_lower-star, the maximum over policies.
 Improvement scores each action by the rows of its own constant-action
 generator, the monotone stencil that evaluation solves, and is scale-free
-in Psi.  An exhaustive enumeration oracle checks small lattices.
+in Psi.  Each sweep solves only Psi; the left eigenvector phi is solved once,
+on the converged sweep's LU.  Sweep generators are gathered row by row from
+the constant-action generators.  An exhaustive enumeration oracle checks small
+lattices.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._util import ordered_map, write_csv
-from .eigen import EigenPair, principal_eigenpair
+from .eigen import EigenPair, InverseIteration, principal_eigenpair
 from .errors import NoConvergence, TooLarge
 from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient
 
@@ -98,6 +101,21 @@ def policy_improve(
     return np.where(keep, current, winner)
 
 
+def _policy_generator(actions: Sequence[Generator], policy: np.ndarray) -> Generator:
+    """Row x (and killed[x]) of the constant-action generator of policy[x].
+
+    A stencil row depends only on the action at its node, and every
+    constant-action generator has the same pattern, so this equals
+    assemble_generator(grid, problem, policy) bit for bit.
+    """
+    first = actions[0].matrix
+    entry_action = np.repeat(policy, np.diff(first.indptr))
+    data = np.stack([a.matrix.data for a in actions])[entry_action, np.arange(first.nnz)]
+    killed = np.stack([a.killed for a in actions])[policy, np.arange(len(policy))]
+    mat = sp.csr_matrix((data, first.indices, first.indptr), shape=first.shape)
+    return Generator(matrix=mat, killed=killed, grid=actions[0].grid)
+
+
 def policy_iteration(
     problem,
     h: float,
@@ -121,26 +139,26 @@ def policy_iteration(
     seen: dict[tuple[int, ...], float] = {}
     prev: tuple[int, ...] | None = None
     for sweep in range(1, MAX_SWEEPS + 1):
-        key = tuple(int(x) for x in v)
+        key = tuple(v.tolist())
         # The first policy is the constant action 0.
-        gen = actions[0] if prev is None else assemble_generator(grid, problem, v)
+        gen = actions[0] if prev is None else _policy_generator(actions, v)
         mat = gen.matrix if potential is None else gen.matrix - sp.diags(potential)
-        pair = principal_eigenpair(mat, tol=tol)
-        seen[key] = pair.lam
+        solver = InverseIteration(mat, tol=tol).right()
+        seen[key] = solver.lam
         changes = 0 if prev is None else int(np.sum(np.asarray(prev) != v))
-        trace.steps.append(PolicyIterationStep(key, pair.lam, pair.cw_interval, changes))
-        v_new = policy_improve(matrices, pair.psi, mode, current=v, slack=100.0 * tol)
-        new_key = tuple(int(x) for x in v_new)
+        trace.steps.append(PolicyIterationStep(key, solver.lam, solver.cw_interval, changes))
+        v_new = policy_improve(matrices, solver.psi, mode, current=v, slack=100.0 * tol)
+        new_key = tuple(v_new.tolist())
         if new_key == key:
             trace.converged = True
             trace.final_policy = v
-            trace.final_pair = pair
+            trace.final_pair = solver.left()
             trace.final_generator = gen
             return trace
         if new_key in seen:
             raise NoConvergence(
                 f"policy iteration entered a cycle at sweep {sweep}: the policy at lambda "
-                f"{pair.lam!r} flips {int(np.sum(v_new != v))} nodes back to an earlier "
+                f"{solver.lam!r} flips {int(np.sum(v_new != v))} nodes back to an earlier "
                 f"policy at lambda {seen[new_key]!r}"
             )
         prev = key

@@ -6,7 +6,9 @@ pattern.  We run shifted inverse power iteration on (sI - G).  The default
 shift s = 0 is valid because a killed irreducible generator is nonsingular
 (-G is an irreducible M-matrix), and it contracts at the h-independent ratio
 lambda/lambda_2; if the iteration runs long, the shift is retargeted near the
-current Collatz-Wielandt estimate.
+current Collatz-Wielandt estimate.  InverseIteration solves the right side
+(psi, lambda) and the left side (phi) as separate steps, the left on the LU
+the right side ended on, so a caller that reads only psi skips the left side.
 
 The iteration stops on the Collatz-Wielandt bracket relative to lambda,
 hi - lo <= tol * max(1, |lambda|): the bracket is rigorous for the current
@@ -76,62 +78,67 @@ def check_irreducible(mat: sp.csr_matrix, error: type[Exception], what: str) -> 
         raise error(f"{what} has {n_comp} strongly connected components")
 
 
-def principal_eigenpair(
-    g: Generator | sp.spmatrix, tol: float = 1e-10, max_iter: int = 10000
-) -> EigenPair:
-    """Positive right/left principal eigenpair by shifted inverse iteration."""
-    mat = as_matrix(g).tocsr()
-    n = mat.shape[0]
-    if n == 1:
-        lam = float(-mat[0, 0])
-        one = np.ones(1)
-        return EigenPair(lam, one, one.copy(), 0.0, 0.0, (lam, lam), 0)
-    check_irreducible(mat, NonPositiveEigenvector, "generator pattern")
+class InverseIteration:
+    """Shifted inverse iteration on one generator, one side at a time.
 
-    csc = mat.tocsc()
-    ident = sp.identity(n, format="csc")
+    It holds the CSR matrix, its transpose (built once), the LU and the
+    retargeted-shift state.  right() finds psi, lam and cw_interval and
+    returns self; left() then finds phi on the LU the right side ended on
+    and returns the whole EigenPair.
+    """
 
-    def factor(shift: float):
-        return splu((shift * ident - csc).tocsc(), permc_spec=PERMC_SPEC)
+    def __init__(self, g: Generator | sp.spmatrix, tol: float = 1e-10, max_iter: int = 10000) -> None:
+        self.mat = as_matrix(g).tocsr()
+        self.csc = self.mat.tocsc()
+        self.mat_t = self.csc.T
+        self.n, self.tol, self.max_iter = self.mat.shape[0], tol, max_iter
+        if self.n == 1:
+            return
+        check_irreducible(self.mat, NonPositiveEigenvector, "generator pattern")
+        try:
+            self.lu = self._factor(0.0)
+        except RuntimeError:
+            # Singular at shift 0 can only happen for a conservative matrix;
+            # fall back to the always-nonsingular diagonal-dominant shift.
+            self.lu = self._factor(1.0 + float(np.abs(self.mat.diagonal()).max()))
+        self.safe_lu = self.lu
 
-    try:
-        lu = factor(0.0)
-        safe_lu = lu
-    except RuntimeError:
-        # Singular at shift 0 can only happen for a conservative matrix;
-        # fall back to the always-nonsingular diagonal-dominant shift.
-        safe_shift = 1.0 + float(np.abs(mat.diagonal()).max())
-        lu = factor(safe_shift)
-        safe_lu = lu
+    def _factor(self, shift: float):
+        return splu((shift * sp.identity(self.n, format="csc") - self.csc).tocsc(), permc_spec=PERMC_SPEC)
 
-    def solve_step(vec: np.ndarray, transpose: bool) -> np.ndarray:
-        y = lu.solve(vec, trans="T") if transpose else lu.solve(vec)
+    def _step(self, vec: np.ndarray, transpose: bool) -> np.ndarray:
+        y = self.lu.solve(vec, trans="T") if transpose else self.lu.solve(vec)
         if not np.all(np.isfinite(y)):
             raise NoConvergence("inverse iteration produced non-finite values")
         if y.sum() < 0:
             y = -y
         return y
 
-    def iterate(transpose: bool, start: np.ndarray) -> tuple[np.ndarray, float, tuple[float, float], int]:
-        nonlocal lu
-        v = start / np.abs(start).max()
+    def _iterate(self, transpose: bool) -> tuple[np.ndarray, float, tuple[float, float], int]:
+        if self.n == 1:
+            lam = float(-self.mat[0, 0])
+            return np.ones(1), lam, (lam, lam), 0
+        mat, tol, max_iter = (self.mat_t if transpose else self.mat), self.tol, self.max_iter
+        v = np.ones(self.n)
         it, lo, hi = 0, float("nan"), float("nan")
         ref_width, ref_it = float("inf"), 0
         reason = f"max_iter={max_iter} reached"
         while it < max_iter:
-            y = solve_step(v, transpose)
+            y = self._step(v, transpose)
             it += 1
             if y.min() <= 0:
                 # Retargeted shifts can momentarily lose positivity; one safe
                 # step restores it (the safe inverse is entrywise positive).
-                lu = safe_lu
-                y = solve_step(np.abs(v), transpose)
+                self.lu = self.safe_lu
+                y = self._step(np.abs(v), transpose)
             v = y / np.abs(y).max()
-            r = (mat.T @ v) if transpose else (mat @ v)
+            r = mat @ v
             ratios = -r / v
             lo, hi = float(ratios.min()), float(ratios.max())
             lam_est = 0.5 * (lo + hi)
             if hi - lo <= tol * max(1.0, abs(lam_est)):
+                if v.min() <= 0:
+                    raise NonPositiveEigenvector("iteration converged to a sign-changing vector")
                 return v, lam_est, (lo, hi), it
             if hi - lo <= 0.5 * ref_width:
                 ref_width, ref_it = hi - lo, it
@@ -141,9 +148,9 @@ def principal_eigenpair(
             if it % RETARGET_STEPS == 0:
                 # Slow contraction: retarget the shift just below -lambda_hi.
                 try:
-                    lu = factor(-(hi + max(1e-8, hi - lo)))
+                    self.lu = self._factor(-(hi + max(1e-8, hi - lo)))
                 except RuntimeError:
-                    lu = safe_lu
+                    self.lu = self.safe_lu
         resid = float(np.abs(r + lam_est * v).max()) if it else float("nan")
         raise NoConvergence(
             f"{'left' if transpose else 'right'} inverse iteration stopped after {it} iterations ({reason}): "
@@ -151,25 +158,27 @@ def principal_eigenpair(
             f"with tol={tol}; residual max|Gv + lambda v| = {resid:.3e}"
         )
 
-    psi, lam, interval, it_r = iterate(False, np.ones(n))
-    phi, _, _, it_l = iterate(True, np.ones(n))
+    def right(self) -> InverseIteration:
+        """Solve for psi (max-normalized), lam and cw_interval; returns self."""
+        psi, self.lam, self.cw_interval, self.iterations = self._iterate(False)
+        self.psi = psi / psi.max()
+        return self
 
-    if psi.min() <= 0 or phi.min() <= 0:
-        raise NonPositiveEigenvector("iteration converged to a sign-changing vector")
+    def left(self) -> EigenPair:
+        """Solve for phi (sum-normalized) after right(); returns the whole pair."""
+        phi, _, _, it_l = self._iterate(True)
+        phi = phi / phi.sum()
+        psi, lam = self.psi, self.lam
+        residual = float(np.abs(self.mat @ psi + lam * psi).max())
+        residual_left = float(np.abs(self.mat_t @ phi + lam * phi).max())
+        return EigenPair(lam, psi, phi, residual, residual_left, self.cw_interval, self.iterations + it_l)
 
-    psi = psi / psi.max()
-    phi = phi / phi.sum()
-    residual = float(np.abs(mat @ psi + lam * psi).max())
-    residual_left = float(np.abs(mat.T @ phi + lam * phi).max())
-    return EigenPair(
-        lam=lam,
-        psi=psi,
-        phi=phi,
-        residual=residual,
-        residual_left=residual_left,
-        cw_interval=interval,
-        iterations=it_r + it_l,
-    )
+
+def principal_eigenpair(
+    g: Generator | sp.spmatrix, tol: float = 1e-10, max_iter: int = 10000
+) -> EigenPair:
+    """Positive right/left principal eigenpair by shifted inverse iteration."""
+    return InverseIteration(g, tol, max_iter).right().left()
 
 
 def export_eigen_csv(grid, pair: EigenPair, path: str) -> None:

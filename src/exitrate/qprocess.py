@@ -19,7 +19,7 @@ from scipy.sparse.linalg import spsolve
 
 from ._util import philox
 from .control import policy_iteration
-from .eigen import PERMC_SPEC, EigenPair, check_irreducible, principal_eigenpair
+from .eigen import PERMC_SPEC, EigenPair, InverseIteration, check_irreducible
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
 from .grid import (
     Generator,
@@ -69,8 +69,8 @@ class QProcessModel:
     product_residual: float | None = None
 
 
-def doob_transform(gen: Generator | sp.spmatrix, pair: EigenPair) -> QProcessModel:
-    """Exact discrete h-transform by the principal eigenvector."""
+def doob_transform(gen: Generator | sp.spmatrix, pair: EigenPair | InverseIteration) -> QProcessModel:
+    """Exact discrete h-transform by the principal eigenvector (reads pair.psi and pair.lam)."""
     mat = as_matrix(gen)
     psi = pair.psi
     ratio = float(psi.max() / psi.min())
@@ -469,7 +469,8 @@ def lyapunov_certificate(
     """
     grid = build_grid(problem, h)
     gen = assemble_generator(grid, problem, policy)
-    pair = principal_eigenpair(gen, tol=tol)
+    # Both solves read only psi and lam, so neither runs the left side.
+    pair = InverseIteration(gen, tol=tol).right()
     model = doob_transform(gen, pair)
 
     grid2, spec2 = _enlarged_grid(problem, h)
@@ -483,7 +484,7 @@ def lyapunov_certificate(
     if not np.any(b_mask2):
         raise NoCertificate(f"ball of radius {radius} contains no grid node")
     mat2 = gen2.matrix - sp.diags(b_mask2.astype(float))
-    pair2 = principal_eigenpair(mat2, tol=tol)
+    pair2 = InverseIteration(mat2, tol=tol).right()
 
     phi_on_d = pair2.psi[_embed_indices(grid, grid2, h)]
     v_field = phi_on_d / pair.psi

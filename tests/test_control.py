@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from exitrate import control
+from exitrate import control, eigen
 from exitrate.control import (
     _dense_scores,
     enumerate_policies,
@@ -218,6 +218,76 @@ def test_enumeration_rejects_a_winner_the_solvers_disagree_on(bang_bang, monkeyp
     monkeypatch.setattr(control, "principal_eigenpair", shifted)
     with pytest.raises(NoConvergence, match="dense eigenvalue .* inverse iteration"):
         enumerate_policies(bang_bang, 1 / 4)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, h, mode",
+    [("bang_bang", 1 / 64, "MAX"), ("bang_bang", 1 / 64, "MIN"), ("rect_2d", 1 / 16, "MAX"), ("bm_interval", 1 / 64, "MAX")],
+)
+def test_deferred_left_side_matches_a_full_eigensolve(name, h, mode, request):
+    # Sweeps solve only psi; phi comes once, from the converged sweep's LU.
+    problem = request.getfixturevalue(name)
+    tol = 1e-10
+    trace = policy_iteration(problem, h, mode=mode, tol=tol)
+    final, full = trace.final_pair, principal_eigenpair(trace.final_generator, tol)
+    for field in ("lam", "psi", "phi", "cw_interval", "residual", "residual_left"):
+        assert _same_bits(getattr(final, field), getattr(full, field)), field
+    assert final.iterations == full.iterations
+
+
+def _count_lu(monkeypatch) -> dict:
+    """Count eigen's factorisations and the transposed solves on them."""
+    counts = {"factor": 0, "left": 0}
+    real = eigen.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs, trans="N"):
+            counts["left"] += trans == "T"
+            return self.lu.solve(rhs, trans=trans)
+
+    def counted(*args, **kwargs):
+        counts["factor"] += 1
+        return Counted(real(*args, **kwargs))
+
+    monkeypatch.setattr(eigen, "splu", counted)
+    return counts
+
+
+def test_policy_iteration_solves_the_left_side_once(bang_bang, monkeypatch):
+    counts = _count_lu(monkeypatch)
+    trace = policy_iteration(bang_bang, 1 / 64, mode="MAX")
+    sweeps, in_iteration = len(trace.steps), dict(counts)
+    assert sweeps >= 3
+    # Every sweep still factors its generator at least once.
+    assert in_iteration["factor"] >= sweeps
+    counts.update(factor=0, left=0)
+    principal_eigenpair(trace.final_generator)
+    assert in_iteration["left"] == counts["left"] > 0
+
+
+@pytest.mark.parametrize("name, h", [("bang_bang", 1 / 32), ("rect_2d", 1 / 8)])
+def test_sweep_generators_match_assembly(name, h, request):
+    # Gathering rows from the constant-action generators must give the
+    # generator assemble_generator builds for the policy, bit for bit.
+    problem = request.getfixturevalue(name)
+    grid = build_grid(problem, h)
+    actions = [assemble_generator(grid, problem, u) for u in range(problem.n_actions)]
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        policy = rng.integers(problem.n_actions, size=grid.n)
+        gathered = control._policy_generator(actions, policy)
+        direct = assemble_generator(grid, problem, policy)
+        for field in ("data", "indices", "indptr"):
+            assert _same_bits(getattr(gathered.matrix, field), getattr(direct.matrix, field)), field
+        assert _same_bits(gathered.killed, direct.killed)
 
 
 def test_trace_csv_export(tmp_path, bang_bang):
