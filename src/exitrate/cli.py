@@ -110,10 +110,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "iterations": pair.iterations,
         "n_nodes": grid.n,
     }
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        export_eigen_csv(grid, pair, os.path.join(args.out, "eigenpair.csv"))
     _emit(report, args, "solve_report")
+    if args.out:
+        export_eigen_csv(grid, pair, os.path.join(args.out, "eigenpair.csv"))
     return 0
 
 
@@ -130,11 +129,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "cw_interval": list(trace.final_pair.cw_interval),
         "n_nodes": trace.grid.n,
     }
+    _emit(report, args, "optimize_report")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         export_trace_csv(trace, os.path.join(args.out, "trace.csv"))
         export_eigen_csv(trace.grid, trace.final_pair, os.path.join(args.out, "eigenpair.csv"))
-    _emit(report, args, "optimize_report")
     return 0
 
 
@@ -166,10 +164,9 @@ def cmd_qprocess(args: argparse.Namespace) -> int:
         },
         "certificate": {"rho": cert.rho, "C": cert.C, "eps": cert.eps},
     }
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        export_measures_csv(grid, model, pair, os.path.join(args.out, "measures.csv"), V=cert.V)
     _emit(report, args, "qprocess_report")
+    if args.out:
+        export_measures_csv(grid, model, pair, os.path.join(args.out, "measures.csv"), V=cert.V)
     return 0
 
 
@@ -189,24 +186,20 @@ def cmd_variational(args: argparse.Namespace) -> int:
         "feasibility_residual": sol.feasibility_residual,
         "structure": check.structure,
     }
+    _emit(report, args, "variational_report")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         export_solution_csv(sol, os.path.join(args.out, "occupation.csv"), threshold=1e-12)
         export_mps(lp, os.path.join(args.out, "occupation.mps"))
-    _emit(report, args, "variational_report")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     prob, h = _resolve_problem(args)
     grid = build_grid(prob, h)
-    if prob.n_actions == 1:
-        gen = assemble_generator(grid, prob, 0)
-        pair = principal_eigenpair(gen, tol=args.tol)
-        policy = 0
-    else:
-        trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol, grid=grid)
-        gen, pair, policy = trace.final_generator, trace.final_pair, trace.final_policy
+    # One action: one sweep, with principal_eigenpair's bits; policy 0 keeps the constant-drift path.
+    trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol, grid=grid)
+    gen, pair = trace.final_generator, trace.final_pair
+    policy = 0 if prob.n_actions == 1 else trace.final_policy
     x0 = _x0_point(args, prob)
     ens = simulate_killed(prob, policy, x0, dt=args.dt, T=args.T, n_paths=args.paths, seed=args.seed, grid=grid)
     est = estimate_exit_rate(ens, fit_window=(0.25 * args.T, 0.75 * args.T))
@@ -238,11 +231,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "projections": occ.projections,
         "girsanov": {k: gir[k] for k in ("lhs", "rhs", "overlap")},
     }
+    _emit(report, args, "simulate_report")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         export_ensemble_csv(ens, os.path.join(args.out, "ensemble.csv"))
         export_histogram_csv(grid, occ.histogram, os.path.join(args.out, "occupancy.csv"))
-    _emit(report, args, "simulate_report")
     return 0
 
 

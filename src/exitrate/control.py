@@ -7,12 +7,13 @@ Improvement scores each action by the rows of its own constant-action
 generator, the monotone stencil that evaluation solves, and is scale-free
 in Psi.  Each sweep solves only Psi; the left eigenvector phi is solved once,
 on the converged sweep's LU.  Sweep generators are gathered row by row from
-the constant-action generators.  An exhaustive enumeration oracle checks small
-lattices.
+the constant-action generators, which a caller's grid keeps with the start
+policy's solve.  An exhaustive enumeration oracle checks small lattices.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -101,6 +102,20 @@ def policy_improve(
     return np.where(keep, current, winner)
 
 
+def action_generators(grid: Grid, problem, keep: bool = True) -> list[Generator]:
+    """The k constant-action generators, assembled once per (grid, problem).
+
+    With keep, grid.shared holds them under id(problem), beside the problem, as
+    (matrix, killed) pairs: a held Generator would point back at the grid."""
+    entry = grid.shared.get(id(problem))
+    if entry is None:
+        gens = [assemble_generator(grid, problem, u) for u in range(problem.n_actions)]
+        entry = (problem, [(g.matrix, g.killed) for g in gens])
+        if keep:
+            grid.shared[id(problem)] = entry
+    return [Generator(matrix=m, killed=k, grid=grid) for m, k in entry[1]]
+
+
 def _policy_generator(actions: Sequence[Generator], policy: np.ndarray) -> Generator:
     """Row x (and killed[x]) of the constant-action generator of policy[x].
 
@@ -129,10 +144,14 @@ def policy_iteration(
     An optional potential q (per-node, nonnegative) solves the eigenproblem of
     G_v - diag(q) instead; the improvement rule is unchanged since the
     potential adds the same -q(x) to every action's score.
+
+    A caller's grid keeps the generators and, without a potential, the start
+    policy's right solve for the next trace; a grid built here keeps nothing.
     """
+    keep = grid is not None
     if grid is None:
         grid = build_grid(problem, h)
-    actions = [assemble_generator(grid, problem, u) for u in range(problem.n_actions)]
+    actions = action_generators(grid, problem, keep)
     matrices = [a.matrix for a in actions]
     trace = PolicyIterationTrace(mode=mode, grid=grid)
     v = np.zeros(grid.n, dtype=int)
@@ -142,8 +161,14 @@ def policy_iteration(
         key = tuple(v.tolist())
         # The first policy is the constant action 0.
         gen = actions[0] if prev is None else _policy_generator(actions, v)
-        mat = gen.matrix if potential is None else gen.matrix - sp.diags(potential)
-        solver = InverseIteration(mat, tol=tol).right()
+        if prev is None and potential is None and keep:
+            # Each trace gets a copy, so its left() cannot move the LU of the next.
+            if (id(problem), tol) not in grid.shared:
+                grid.shared[id(problem), tol] = InverseIteration(gen, tol=tol).right()
+            solver = copy.copy(grid.shared[id(problem), tol])
+        else:
+            mat = gen.matrix if potential is None else gen.matrix - sp.diags(potential)
+            solver = InverseIteration(mat, tol=tol).right()
         seen[key] = solver.lam
         changes = 0 if prev is None else int(np.sum(np.asarray(prev) != v))
         trace.steps.append(PolicyIterationStep(key, solver.lam, solver.cw_interval, changes))
@@ -181,14 +206,14 @@ def _dense_scores(grid: Grid, problem) -> np.ndarray:
 
     Row i of a policy's generator is row i of the constant-action generator
     of the action at node i, so each policy's dense generator is gathered
-    from the k constant-action generators, assembled once.  Policies are
+    from the k constant-action generators (action_generators).  Policies are
     scored ENUMERATION_CHUNK at a time by one batched eigensolve per chunk;
     chunk results are concatenated in order, so the worker count cannot
     change them.
     """
     n, k = grid.n, problem.n_actions
     count = k**n
-    tables = np.stack([assemble_generator(grid, problem, a).matrix.toarray() for a in range(k)])
+    tables = np.stack([a.matrix.toarray() for a in action_generators(grid, problem)])
     rows = np.arange(n)
 
     def score(first: int) -> np.ndarray:
@@ -217,14 +242,13 @@ def enumerate_policies(problem, h: float, tol: float = 1e-10) -> tuple[float, np
     if count == 1:
         # Nothing to rank.  With one action n is unbounded, so the dense
         # n x n tables could not be afforded on a fine mesh.
-        policy = np.zeros(n, dtype=int)
-        return principal_eigenpair(assemble_generator(grid, problem, policy), tol=tol).lam, policy, count
+        return principal_eigenpair(action_generators(grid, problem)[0], tol=tol).lam, np.zeros(n, dtype=int), count
 
     lams = _dense_scores(grid, problem)
     lam_min = float(lams.min())
     best = int(np.argmax(lams <= lam_min + TIE_RTOL * max(1.0, abs(lam_min))))
     policy = _policies(best, best + 1, k, n)[0]
-    pair = principal_eigenpair(assemble_generator(grid, problem, policy), tol=tol)
+    pair = principal_eigenpair(_policy_generator(action_generators(grid, problem), policy), tol=tol)
     # The CW bracket contains the winner's eigenvalue and the dense value is
     # good to TIE_RTOL relative, so the dense value must lie in the bracket
     # widened by that much; outside it, one of the two solvers is wrong.

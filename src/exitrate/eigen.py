@@ -27,6 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
+from ._util import write_csv
 from .errors import NoConvergence, NonPositiveEigenvector
 from .grid import Generator, as_matrix
 
@@ -81,20 +82,22 @@ def check_irreducible(mat: sp.csr_matrix, error: type[Exception], what: str) -> 
 class InverseIteration:
     """Shifted inverse iteration on one generator, one side at a time.
 
-    It holds the CSR matrix, its transpose (built once), the LU and the
-    retargeted-shift state.  right() finds psi, lam and cw_interval and
-    returns self; left() then finds phi on the LU the right side ended on
-    and returns the whole EigenPair.
+    It holds the CSR and CSC matrices, the LU and the retargeted-shift state.
+    right() finds psi, lam and cw_interval and returns self; left() then takes
+    the transpose, finds phi on the LU the right side ended on and returns the
+    whole EigenPair.
     """
 
     def __init__(self, g: Generator | sp.spmatrix, tol: float = 1e-10, max_iter: int = 10000) -> None:
         self.mat = as_matrix(g).tocsr()
-        self.csc = self.mat.tocsc()
-        self.mat_t = self.csc.T
         self.n, self.tol, self.max_iter = self.mat.shape[0], tol, max_iter
-        if self.n == 1:
-            return
         check_irreducible(self.mat, NonPositiveEigenvector, "generator pattern")
+        # Each factor adds its shift to -G at diag_at.  A generator's diagonal
+        # is negative; any other matrix first stores its zeros there.
+        self.csc = self.mat.tocsc()
+        if not self.csc.diagonal().all():
+            self.csc.setdiag(self.csc.diagonal())
+        self.diag_at = np.flatnonzero(self.csc.indices == np.repeat(np.arange(self.n), np.diff(self.csc.indptr)))
         try:
             self.lu = self._factor(0.0)
         except RuntimeError:
@@ -104,7 +107,10 @@ class InverseIteration:
         self.safe_lu = self.lu
 
     def _factor(self, shift: float):
-        return splu((shift * sp.identity(self.n, format="csc") - self.csc).tocsc(), permc_spec=PERMC_SPEC)
+        """LU of shift*I - G, with the bits a sparse identity minus G would give."""
+        m = -self.csc
+        m.data[self.diag_at] += shift
+        return splu(m, permc_spec=PERMC_SPEC)
 
     def _step(self, vec: np.ndarray, transpose: bool) -> np.ndarray:
         y = self.lu.solve(vec, trans="T") if transpose else self.lu.solve(vec)
@@ -166,6 +172,7 @@ class InverseIteration:
 
     def left(self) -> EigenPair:
         """Solve for phi (sum-normalized) after right(); returns the whole pair."""
+        self.mat_t = self.csc.T
         phi, _, _, it_l = self._iterate(True)
         phi = phi / phi.sum()
         psi, lam = self.psi, self.lam
@@ -182,8 +189,6 @@ def principal_eigenpair(
 
 
 def export_eigen_csv(grid, pair: EigenPair, path: str) -> None:
-    from ._util import write_csv
-
     coords = [f"x{k + 1}" for k in range(grid.d)]
     rows = (
         list(grid.nodes[i]) + [pair.psi[i], pair.phi[i]]

@@ -13,7 +13,7 @@ leaving flux reflected instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +27,8 @@ class Grid:
     """Interior lattice of a box with spacing h.
 
     neighbor_table[i, k, 0] is the node index one step down axis k from node i
-    (-1 if that step exits the domain); [..., 1] the step up.
+    (-1 if that step exits the domain); [..., 1] the step up.  shared holds
+    solver set-up kept for the grid's caller (control.action_generators).
     """
 
     lo: np.ndarray
@@ -37,6 +38,7 @@ class Grid:
     n: int
     nodes: np.ndarray
     neighbor_table: np.ndarray
+    shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def d(self) -> int:
@@ -85,18 +87,13 @@ def build_grid(problem: ProblemSpec, h: float) -> Grid:
 
     n = int(np.prod(dims))
     table = np.empty((n, len(dims), 2), dtype=np.int64)
-    idx = np.arange(n).reshape(dims)
+    # Indices framed by -1; the interior window shifted down (up) axis k holds the neighbours.
+    framed = np.pad(np.arange(n, dtype=np.int64).reshape(dims), 1, constant_values=-1)
     for k in range(len(dims)):
-        down = np.full(dims, -1, dtype=np.int64)
-        up = np.full(dims, -1, dtype=np.int64)
-        sl_lo = [slice(None)] * len(dims)
-        sl_hi = [slice(None)] * len(dims)
-        sl_lo[k] = slice(1, None)
-        sl_hi[k] = slice(None, -1)
-        down[tuple(sl_lo)] = idx[tuple(sl_hi)]
-        up[tuple(sl_hi)] = idx[tuple(sl_lo)]
-        table[:, k, 0] = down.ravel()
-        table[:, k, 1] = up.ravel()
+        for side in (0, 1):
+            window = [slice(1, -1)] * len(dims)
+            window[k] = slice(2 * side, 2 * side + dims[k])
+            table[:, k, side] = framed[tuple(window)].ravel()
 
     return Grid(lo=lo, hi=hi, h=float(h), dims=tuple(dims), n=n, nodes=nodes, neighbor_table=table)
 

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
-from ._util import philox
+from ._util import philox, write_csv
 from .control import policy_iteration
 from .eigen import PERMC_SPEC, EigenPair, InverseIteration, check_irreducible
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
@@ -116,9 +116,12 @@ def null_vector(mat: sp.spmatrix | np.ndarray, pin: int) -> np.ndarray:
         (np.append(c.data[keep], 1.0), (np.append(c.col[keep], pin), np.append(c.row[keep], pin))),
         shape=(n, n),
     )
-    rhs = np.zeros(n)
-    rhs[pin] = 1.0
-    mu = spsolve(system, rhs, permc_spec=PERMC_SPEC)
+    return probability_vector(spsolve(system, np.eye(1, n, pin)[0], permc_spec=PERMC_SPEC))
+
+
+def probability_vector(mu: np.ndarray) -> np.ndarray:
+    """A solved invariant vector clipped at 0 and scaled to unit sum; raises
+    NullVectorNotUnique if it is not finite or has an entry below -1e-10 times its largest."""
     if not np.all(np.isfinite(mu)):
         raise NullVectorNotUnique("singular system while solving for the invariant vector")
     if mu.min() < -1e-10 * np.abs(mu).max():
@@ -596,8 +599,6 @@ def verify_uniform_ergodicity(
 
 
 def export_measures_csv(grid: Grid, model: QProcessModel, pair: EigenPair, path: str, V: np.ndarray | None = None) -> None:
-    from ._util import write_csv
-
     coords = [f"x{k + 1}" for k in range(grid.d)]
     header = coords + ["mu_tilde", "alpha", "psi", "phi"] + (["V"] if V is not None else [])
     mu = model.mu_tilde if model.mu_tilde is not None else np.full(grid.n, np.nan)

@@ -20,13 +20,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
-from .control import MAX_SWEEPS, PolicyIterationTrace, policy_iteration
+from .control import MAX_SWEEPS, PolicyIterationTrace, action_generators, policy_iteration
 from .eigen import PERMC_SPEC
 from .errors import Infeasible, NoConvergence, TooLarge
-from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient
-from .qprocess import doob_transform, null_vector, stationary_measures
+from .grid import Generator, Grid, _policy_array, build_grid, discrete_gradient
+from .qprocess import doob_transform, null_vector, probability_vector, stationary_measures
 from ._util import write_csv
 
 MAX_LP_VARIABLES = 50_000
@@ -130,9 +130,7 @@ class OccupationLP:
 
     @property
     def b_eq(self) -> np.ndarray:
-        b = np.zeros(self.grid.n + 1)
-        b[-1] = 1.0
-        return b
+        return np.append(np.zeros(self.grid.n), 1.0)
 
 
 def build_occupation_lp(
@@ -152,13 +150,8 @@ def build_occupation_lp(
 
     n, d, n_w = grid.n, grid.d, len(w_grid)
     if policy is not None:
-        policy = np.asarray(policy, dtype=np.int64)
-        if policy.shape != (n,):
-            raise ValueError("policy length does not match the grid")
-        if policy.min() < 0 or policy.max() >= problem.n_actions:
-            # An action no generator has would leave its variables without rows.
-            raise ValueError("policy contains out-of-range action indices")
-        offered = policy[:, None]
+        # _policy_array rejects an action no generator has: its variables would lack rows.
+        offered = _policy_array(grid, problem, policy).astype(np.int64)[:, None]
     else:
         offered = np.tile(np.arange(problem.n_actions, dtype=np.int64), (n, 1))
     n_total = offered.size * n_w
@@ -173,8 +166,7 @@ def build_occupation_lp(
     owner: list[np.ndarray] = []
     row: list[np.ndarray] = []
     val: list[np.ndarray] = []
-    for u in range(problem.n_actions):
-        gen = assemble_generator(grid, problem, u)
+    for u, gen in enumerate(action_generators(grid, problem)):
         mat = gen.matrix
         x_sel, k_sel = np.nonzero(offered == u)
         # first[x]: index of variable (x, u, w-point 0), or -1 if x lacks u.
@@ -251,17 +243,18 @@ class OccupationSolution:
 
 
 def _evaluate(q: sp.csr_matrix, c_pol: np.ndarray, pin: int) -> tuple[np.ndarray, float, np.ndarray]:
-    """Stationary law mu, gain g = mu . c_pol and bias of one policy's chain.
+    """Stationary law mu, gain g = mu . c_pol and bias of one policy's chain,
+    from one LU of m = q + 1 e_pin^T (nonsingular by the added column).
 
-    mu^T (q + 1 e_pin^T) b = b[pin] for every b, so the bias solving
-    (q + 1 e_pin^T) b = g - c_pol has b[pin] = 0 and c_pol + q b = g; the
-    added column makes the system nonsingular.
+    mu^T q = 0 and sum(mu) = 1 give m^T mu = e_pin, and then mu^T m b = b[pin]:
+    the bias solving m b = g - c_pol has b[pin] = 0 and c_pol + q b = g.
     """
     n = q.shape[0]
-    mu = null_vector(q, pin)
-    g = float(mu @ c_pol)
     column = sp.csr_matrix((np.ones(n), (np.arange(n), np.full(n, pin))), shape=(n, n))
-    return mu, g, spsolve((q + column).tocsc(), g - c_pol, permc_spec=PERMC_SPEC)
+    lu = splu((q + column).tocsc(), permc_spec=PERMC_SPEC)
+    mu = probability_vector(lu.solve(np.eye(1, n, pin)[0], trans="T"))
+    g = float(mu @ c_pol)
+    return mu, g, lu.solve(g - c_pol)
 
 
 def solve_lp(lp: OccupationLP) -> OccupationSolution:
@@ -457,14 +450,8 @@ def _mps_field(value: float) -> str:
 def export_mps(lp: OccupationLP, path: str) -> None:
     """Fixed-column MPS dump of the LP for external cross-checks."""
 
-    n = lp.grid.n
-    lines = [f"NAME          {MPS_NAME}"]
-    lines.append("ROWS")
-    lines.append(" N  COST")
-    for y in range(n):
-        lines.append(f" E  S{y:07d}")
-    lines.append(" E  MASS")
-    lines.append("COLUMNS")
+    lines = [f"NAME          {MPS_NAME}", "ROWS", " N  COST"] + [f" E  S{y:07d}" for y in range(lp.grid.n)]
+    lines += [" E  MASS", "COLUMNS"]
     scaled = lp.rows * lp.row_scale
     for j in range(lp.n_variables):
         col = f"X{j:07d}"
@@ -478,10 +465,7 @@ def export_mps(lp: OccupationLP, path: str) -> None:
             if len(pair) == 2:
                 line += f"   {pair[1][0]:<10}{_mps_field(pair[1][1]):<12}"
             lines.append(line.rstrip())
-    lines.append("RHS")
-    lines.append(f"    RHS       MASS      {_mps_field(1.0)}")
-    lines.append("BOUNDS")
-    lines.append("ENDATA")
+    lines += ["RHS", f"    RHS       MASS      {_mps_field(1.0)}", "BOUNDS", "ENDATA"]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._util import THREADS_ENV, dump_json, jsonable, philox
-from .control import enumerate_policies, hjb_residual, policy_iteration
+from .control import action_generators, enumerate_policies, hjb_residual, policy_iteration
 from .eigen import principal_eigenpair
 from .grid import assemble_generator, build_grid, discrete_gradient
 from .mc import estimate_exit_rate, mc_girsanov_check, simulate_killed, simulate_qprocess
@@ -432,9 +432,10 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
     if prob.n_actions > 1:  # with one action MIN repeats MAX
         traces.append(policy_iteration(prob, h, mode="MIN", tol=tol, grid=grid))
     # The traces already hold each optimum's generator and pair at this tol;
-    # the constant-action policies are solved here.
+    # the constant-action policies, on the grid's shared generators, are solved here.
     family = [(tr.final_policy, tr.final_generator, tr.final_pair) for tr in traces]
-    family += [(np.full(grid.n, u, dtype=int), None, None) for u in range(prob.n_actions)]
+    gens = action_generators(grid, prob)
+    family += [(np.full(grid.n, u, dtype=int), gens[u], None) for u in range(prob.n_actions)]
 
     seen = set()
     log_vals = []
@@ -444,8 +445,7 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
         if key in seen:
             continue
         seen.add(key)
-        if gen is None:
-            gen = assemble_generator(grid, prob, pol)
+        if pair is None:
             pair = principal_eigenpair(gen, tol=tol)
         v_log, v_psi = both_forms(gen, pair)
         log_vals.append(v_log)
@@ -488,13 +488,10 @@ def _c15_determinism(cfg: dict) -> dict:
             os.environ[THREADS_ENV] = str(workers)
             prob = validate_problem(bm_interval())
             ens = simulate_killed(prob, 0, [0.5], dt=1e-3, T=0.5, n_paths=65536, seed=cfg["seed"])
-            blob = hashlib.sha256()
-            blob.update(ens.exit_times.tobytes())
-            blob.update(ens.censored.tobytes())
-            blob.update(ens.terminal_states.tobytes())
             best, pol, _ = enumerate_policies(validate_problem(bang_bang()), 0.25, tol=cfg["tol"])
-            blob.update(np.float64(best).tobytes())
-            blob.update(pol.astype(np.int64).tobytes())
+            blob = hashlib.sha256()
+            for arr in (ens.exit_times, ens.censored, ens.terminal_states, np.float64(best), pol.astype(np.int64)):
+                blob.update(arr.tobytes())
             digests.append(blob.hexdigest())
     finally:
         if saved is None:

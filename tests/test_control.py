@@ -1,12 +1,15 @@
 """Policy improvement and iteration against the exhaustive oracle."""
 
+import collections
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from exitrate import control, eigen
+from exitrate import control, eigen, grid as grid_module
 from exitrate.control import (
     _dense_scores,
     enumerate_policies,
@@ -157,8 +160,10 @@ def test_enumeration_is_capped(bang_bang, rect_2d, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the cap check")
 
-    # The cap is checked before any generator table or policy is built.
+    # The cap is checked before any generator table or policy is built,
+    # whether assembled directly or through the grid's shared generators.
     monkeypatch.setattr(control, "assemble_generator", forbidden)
+    monkeypatch.setattr(control, "action_generators", forbidden)
     monkeypatch.setattr(control, "ordered_map", forbidden)
     with pytest.raises(TooLarge):
         enumerate_policies(bang_bang, 1 / 32)
@@ -297,3 +302,81 @@ def test_trace_csv_export(tmp_path, bang_bang):
     lines = path.read_text().splitlines()
     assert lines[0] == "iteration,lambda,lambda_lo,lambda_hi,policy_changes"
     assert len(lines) == len(trace.steps) + 1
+
+
+def count_assembly(monkeypatch) -> collections.Counter:
+    """Count assemble_generator calls by action, in every module that calls it."""
+    calls: collections.Counter = collections.Counter()
+    real = grid_module.assemble_generator
+
+    def counted(grid, problem, policy):
+        calls[policy if isinstance(policy, int) else "policy"] += 1
+        return real(grid, problem, policy)
+
+    for module in (grid_module, control):
+        monkeypatch.setattr(module, "assemble_generator", counted)
+    return calls
+
+
+def _same_trace(a, b) -> bool:
+    pairs = [(a.final_policy, b.final_policy)] + [
+        (getattr(a.final_pair, f), getattr(b.final_pair, f))
+        for f in ("lam", "psi", "phi", "cw_interval", "residual", "residual_left", "iterations")
+    ]
+    return a.steps == b.steps and all(_same_bits(x, y) for x, y in pairs)
+
+
+@pytest.mark.parametrize("name, h", [("bang_bang", 1 / 32), ("rect_2d", 1 / 8)])
+def test_traces_on_a_caller_grid_assemble_each_action_once(name, h, request, monkeypatch):
+    problem = request.getfixturevalue(name)
+    fresh = {mode: policy_iteration(problem, h, mode=mode) for mode in ("MAX", "MIN")}
+    calls = count_assembly(monkeypatch)
+    grid = build_grid(problem, h)
+    shared = {mode: policy_iteration(problem, h, mode=mode, grid=grid) for mode in ("MAX", "MIN")}
+    assert calls == {u: 1 for u in range(problem.n_actions)}
+    for mode in ("MAX", "MIN"):
+        assert _same_trace(shared[mode], fresh[mode]), mode
+
+
+def test_a_grid_built_by_policy_iteration_keeps_nothing(bang_bang):
+    trace = policy_iteration(bang_bang, 1 / 16, mode="MAX")
+    assert trace.grid.shared == {}
+    grid = build_grid(bang_bang, 1 / 16)
+    policy_iteration(bang_bang, 1 / 16, mode="MAX", grid=grid)
+    assert set(grid.shared) == {id(bang_bang), (id(bang_bang), 1e-10)}
+
+
+def test_dropping_the_grid_and_traces_frees_the_shared_setup(bang_bang):
+    # What the grid keeps holds no reference back to it, so plain reference
+    # counting frees it: no cycle is left for the garbage collector.
+    gc.disable()
+    try:
+        grid = build_grid(bang_bang, 1 / 16)
+        traces = [policy_iteration(bang_bang, 1 / 16, mode=mode, grid=grid) for mode in ("MAX", "MIN")]
+        _, pairs = grid.shared[id(bang_bang)]
+        refs = [weakref.ref(m) for m, _ in pairs] + [weakref.ref(grid.shared[id(bang_bang), 1e-10])]
+        del grid, traces, pairs
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_max_and_min_share_the_start_solve(bm_interval, monkeypatch):
+    # With one action both traces converge on the start policy: one right
+    # solve serves both, and each final pair keeps principal_eigenpair's bits.
+    h, tol = 1 / 64, 1e-10
+    direct = principal_eigenpair(assemble_generator(build_grid(bm_interval, h), bm_interval, 0), tol)
+    solvers = {"right": [], "left": []}
+    for side, real in (("right", eigen.InverseIteration.right), ("left", eigen.InverseIteration.left)):
+        monkeypatch.setattr(eigen.InverseIteration, side, lambda self, s=side, f=real: solvers[s].append(self) or f(self))
+    grid = build_grid(bm_interval, h)
+    traces = [policy_iteration(bm_interval, h, mode=mode, tol=tol, grid=grid) for mode in ("MAX", "MIN")]
+    assert len(solvers["right"]) == 1
+    for trace in traces:
+        for f in ("lam", "psi", "phi", "cw_interval", "residual", "residual_left", "iterations"):
+            assert _same_bits(getattr(trace.final_pair, f), getattr(direct, f)), f
+    # Each trace ran left() on its own copy; the kept solver stays as right() left it.
+    kept = grid.shared[id(bm_interval), tol]
+    assert len(solvers["left"]) == 2 and kept not in solvers["left"]
+    assert solvers["left"][0] is not solvers["left"][1]
+    assert not hasattr(kept, "mat_t")

@@ -9,7 +9,8 @@ from scipy.sparse.linalg import splu
 from hypothesis import given
 from hypothesis import strategies as st
 
-from exitrate.eigen import PERMC_SPEC, cw_bounds, principal_eigenpair
+from exitrate import eigen
+from exitrate.eigen import PERMC_SPEC, InverseIteration, cw_bounds, principal_eigenpair
 from exitrate.errors import NoConvergence, NonPositiveEigenvector
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import problem_by_name, with_bounds
@@ -160,6 +161,8 @@ def test_bm_interval_h1024_converges_at_the_default_tolerance(bm_interval):
     assert hi - lo <= 1e-10 * pair.lam
     assert lo <= pair.lam <= hi
     assert abs(pair.lam - np.pi**2 / 2) <= 1e-3
+    # The margin under tol is thin (about 6%); the factors keep their bits.
+    assert pair.lam.hex() == "0x1.3bd3bc5fc54f3p+2"
 
 
 def test_minimum_degree_ordering_roughly_halves_the_lu_fill():
@@ -195,3 +198,38 @@ def test_iteration_cap_is_a_backstop(bm_interval):
     gen = assemble_generator(build_grid(bm_interval, 1 / 64), bm_interval, 0)
     with pytest.raises(NoConvergence, match="after 3 iterations .*max_iter=3"):
         principal_eigenpair(gen, max_iter=3)
+
+
+@pytest.mark.parametrize("name, h", [("bm-interval", 1 / 1024), ("rect-2d", 1 / 128), ("bang-bang", 1 / 1024)])
+def test_factored_matrix_is_shift_minus_the_generator_bit_for_bit(name, h, monkeypatch):
+    # Each factor adds its shift to the stored diagonal of -G; the LU must
+    # see the matrix that shift*I - G built from a sparse identity has.
+    gen = _generator(name, h)
+    factored = []
+    monkeypatch.setattr(eigen, "splu", lambda a, **kw: factored.append(a.copy()) or splu(a, **kw))
+    solver = InverseIteration(gen)
+    grid = gen.grid
+    smooth = np.prod(np.sin(np.pi * (grid.nodes - grid.lo) / (grid.hi - grid.lo)), axis=1)
+    lo, hi = cw_bounds(gen, smooth)
+    retarget = -(hi + max(1e-8, hi - lo))
+    fallback = 1.0 + float(np.abs(gen.matrix.diagonal()).max())
+    for shift in (retarget, fallback):
+        solver._factor(shift)
+    csc = gen.matrix.tocsc()
+    for shift, mat in zip((0.0, retarget, fallback), factored, strict=True):
+        want = (shift * sp.identity(grid.n, format="csc") - csc).tocsc()
+        for field in ("data", "indices", "indptr"):
+            assert getattr(mat, field).tobytes() == getattr(want, field).tobytes(), (shift, field)
+
+
+def test_a_matrix_without_a_stored_diagonal_is_factored_too():
+    # Not a generator: the missing diagonal entry of the middle row is
+    # stored as an explicit zero before the first factor.
+    mat = sp.csr_matrix(np.array([[-3.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, -3.0]]))
+    pair = principal_eigenpair(mat, tol=1e-12)
+    vals, vecs = np.linalg.eigh(mat.toarray())
+    assert pair.lam == pytest.approx(-vals.max(), rel=1e-12)
+    np.testing.assert_allclose(pair.psi, np.abs(vecs[:, -1]) / np.abs(vecs[:, -1]).max(), rtol=1e-10)
+    rhs = np.array([1.0, 2.0, 3.0])
+    solved = InverseIteration(mat)._factor(2.0).solve(rhs)
+    np.testing.assert_allclose(solved, np.linalg.solve(2.0 * np.eye(3) - mat.toarray(), rhs), rtol=1e-12)

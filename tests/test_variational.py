@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from exitrate import variational
+from exitrate import control, grid as grid_module, variational
 from exitrate.control import policy_iteration
 from exitrate.eigen import principal_eigenpair
-from exitrate.errors import Infeasible, NoConvergence, TooLarge
+from exitrate.errors import Infeasible, NoConvergence, NullVectorNotUnique, TooLarge
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import ProblemSpec
 from exitrate.qprocess import doob_transform, null_vector, stationary_measures
@@ -465,3 +465,66 @@ def test_array_program_matches_the_per_variable_reference(request, name, h, fixe
     for pi in (sol.pi, tp.pi):
         got = verify_minimizer_structure(dataclasses.replace(sol, pi=pi), mu, policy, candidate=0)
         assert got == _ref_structure(ref, pi, mu, policy, 0)
+
+
+@pytest.mark.parametrize("name, h", [("bang_bang", 1 / 16), ("rect_2d", 1 / 4)])
+def test_lp_on_a_caller_grid_assembles_each_action_once(name, h, request, monkeypatch):
+    # MAX, MIN and the program share the grid's generators, and the program
+    # has the bits of one built on a fresh grid.
+    prob = request.getfixturevalue(name)
+    calls = []
+    real = grid_module.assemble_generator
+
+    def counted(grid, problem, policy):
+        calls.append(policy)
+        return real(grid, problem, policy)
+
+    monkeypatch.setattr(control, "assemble_generator", counted)
+    grid = build_grid(prob, h)
+    cands = [
+        candidate_from_trace(mode, policy_iteration(prob, h, mode=mode, grid=grid)) for mode in ("MAX", "MIN")
+    ]
+    w_grid = build_w_grid(grid, cands)
+    lp = build_occupation_lp(grid, prob, w_grid, cands)
+    assert sorted(calls) == list(range(prob.n_actions))
+    fresh = build_occupation_lp(build_grid(prob, h), prob, w_grid, cands)
+    assert len(calls) == 2 * prob.n_actions
+    for field in ("c", "nominal_w", "node", "action", "wpoint"):
+        assert _same_bits(getattr(lp, field), getattr(fresh, field)), field
+    for field in ("data", "indices", "indptr"):
+        assert _same_bits(getattr(lp.rows, field), getattr(fresh.rows, field)), field
+
+
+def _tilted_chain(prob, h, wpoint):
+    """A conservative chain of the program: the MAX optimum under one tilt."""
+    grid = build_grid(prob, h)
+    trace = policy_iteration(prob, h, mode="MAX", grid=grid)
+    cands = [candidate_from_trace("stay", trace)]
+    lp = build_occupation_lp(grid, prob, build_w_grid(grid, cands), cands)
+    picks = np.flatnonzero((lp.action == trace.final_policy[lp.node]) & (lp.wpoint == wpoint))
+    return lp.rows[:, picks].T.tocsr(), lp.c[picks]
+
+
+@pytest.mark.parametrize("name, h", [("bang_bang", 1 / 64), ("bang_bang", 1 / 8), ("rect_2d", 1 / 8)])
+@pytest.mark.parametrize("wpoint", [1, 2, 3])
+def test_one_lu_evaluation_matches_the_null_vector_and_the_bias_equation(name, h, wpoint, request):
+    q, c_pol = _tilted_chain(request.getfixturevalue(name), h, wpoint)
+    n = q.shape[0]
+    for pin in (0, n // 2, n - 1):
+        mu, g, bias = variational._evaluate(q, c_pol, pin)
+        ref = null_vector(q, pin)
+        assert np.abs(mu - ref).max() <= 1e-13 * ref.max()
+        assert abs(mu.sum() - 1.0) <= 1e-14
+        assert g == float(mu @ c_pol)
+        scale = abs(q).max() * np.abs(bias).max()
+        assert np.abs(c_pol + q @ bias - g).max() <= 1e-14 * scale
+        assert abs(bias[pin]) <= 1e-13 * max(1.0, np.abs(bias).max())
+
+
+def test_one_lu_evaluation_keeps_the_nonnegativity_rule():
+    # q = 1 mu^T - I has zero row sums and the left null vector mu, whose
+    # last entry is negative; the chain is no Markov chain.
+    mu = np.array([0.6, 0.6, -0.2])
+    q = sp.csr_matrix(np.outer(np.ones(3), mu) - np.eye(3))
+    with pytest.raises(NullVectorNotUnique, match="not nonnegative"):
+        variational._evaluate(q, np.zeros(3), 0)
