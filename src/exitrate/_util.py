@@ -1,4 +1,4 @@
-"""Small shared helpers: thread pool sizing, random streams, deterministic maps, stable IO."""
+"""Small shared helpers: thread pool sizing, random streams, deterministic maps, line fits, stable IO."""
 
 from __future__ import annotations
 
@@ -49,6 +49,14 @@ def ordered_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:
         for fut, k in futures.items():
             out[k] = fut.result()
     return out
+
+
+def line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line through (x, y): its slope and R^2 (1 when y is constant)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(slope), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
 def dump_json(obj: Any, path: str) -> None:

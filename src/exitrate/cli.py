@@ -22,14 +22,7 @@ from .control import policy_iteration, export_trace_csv
 from .eigen import principal_eigenpair, export_eigen_csv
 from .errors import ExitRateError
 from .grid import assemble_generator, build_grid, default_spacing
-from .mc import (
-    estimate_exit_rate,
-    export_ensemble_csv,
-    export_histogram_csv,
-    mc_girsanov_check,
-    simulate_killed,
-    simulate_qprocess,
-)
+from .mc import export_ensemble_csv, export_histogram_csv, monte_carlo_check
 from .problems import CATALOG, load_problem, problem_by_name, validate_problem
 from .qprocess import (
     doob_transform,
@@ -142,7 +135,7 @@ def cmd_qprocess(args: argparse.Namespace) -> int:
     grid, gen, pair = trace.grid, trace.final_generator, trace.final_pair
     model = doob_transform(gen, pair)
     mu, alpha = stationary_measures(gen, model, pair)
-    _, rayleigh_rel = rayleigh_identity(grid, prob, model.psi_log, mu, pair.lam)
+    _, rayleigh_rel = rayleigh_identity(grid, prob, trace.psi_log, mu, pair.lam)
     rng = philox(args.seed, 0xC11)
     _, _, sup_gap = girsanov_check(gen, pair, 1.0, rng.random((3, grid.n)).T)
     x0 = int(grid.nearest_index(np.array([_x0_point(args, prob)]))[0])
@@ -166,7 +159,7 @@ def cmd_qprocess(args: argparse.Namespace) -> int:
     }
     _emit(report, args, "qprocess_report")
     if args.out:
-        export_measures_csv(grid, model, pair, os.path.join(args.out, "measures.csv"), V=cert.V)
+        export_measures_csv(grid, mu, alpha, pair, os.path.join(args.out, "measures.csv"), V=cert.V)
     return 0
 
 
@@ -200,25 +193,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol, grid=grid)
     gen, pair = trace.final_generator, trace.final_pair
     policy = 0 if prob.n_actions == 1 else trace.final_policy
-    x0 = _x0_point(args, prob)
-    ens = simulate_killed(prob, policy, x0, dt=args.dt, T=args.T, n_paths=args.paths, seed=args.seed, grid=grid)
-    est = estimate_exit_rate(ens, fit_window=(0.25 * args.T, 0.75 * args.T))
-    model = doob_transform(gen, pair)
-    mu, _ = stationary_measures(gen, model, pair)
-    occ = simulate_qprocess(
-        prob, grid, policy, model.psi_log, x0,
-        dt=args.dt, T=args.T, n_paths=max(4, args.paths // 2048), seed=args.seed,
-    )
-    tv = 0.5 * float(np.abs(occ.histogram - mu).sum())
-
-    def g(points: np.ndarray) -> np.ndarray:
-        mid = np.array([0.5 * (lo + hi) for lo, hi in zip(prob.lo, prob.hi)])
-        width = np.array([0.25 * (hi - lo) for lo, hi in zip(prob.lo, prob.hi)])
-        return (np.abs(points - mid) < width).all(axis=1).astype(float)
-
-    gir = mc_girsanov_check(
-        prob, grid, policy, pair, g, t=min(1.0, args.T), x0=x0,
-        n_killed=args.paths // 2, n_qpaths=args.paths // 5, seed=args.seed, dt=args.dt,
+    mu, _ = stationary_measures(gen, doob_transform(gen, pair), pair)
+    ens, est, occ, tv, gir = monte_carlo_check(
+        prob, grid, policy, pair, mu, _x0_point(args, prob), args.seed,
+        killed=(args.dt, args.T, args.paths),
+        fit_window=(0.25 * args.T, 0.75 * args.T),
+        confined=(args.dt, args.T, max(4, args.paths // 2048)),
+        reweight=(min(1.0, args.T), args.paths // 2, args.paths // 5, args.dt, args.dt),
     )
     report = {
         "config": _config_dict(args, prob, h),
@@ -239,15 +220,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_acceptance(
-        seed=args.seed,
-        out_dir=args.out,
-        mc_paths=args.paths,
-        mc_dt=args.dt,
-        q_T=args.T,
-        tol=args.tol,
-        echo=True,
-    )
+    report = run_acceptance(seed=args.seed, out_dir=args.out, tol=args.tol, echo=True)
     print("all criteria passed" if report["all_passed"] else "FAILURES present", flush=True)
     return 0 if report["all_passed"] else 2
 
@@ -303,7 +276,7 @@ SUBCOMMANDS: dict[str, tuple] = {
         _PROBLEM + ("mode", "seed", "x0", "dt", "T", "paths"),
     ),
     "representations": (cmd_representations, "four expressions of the optimal rate", _PROBLEM),
-    "verify": (cmd_verify, "run the full acceptance suite", ("seed", "tol", "out", "dt", "T", "paths")),
+    "verify": (cmd_verify, "run the full acceptance suite", ("seed", "tol", "out")),
 }
 
 
@@ -319,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         for key in flags:
             p.add_argument("--" + key, **FLAGS[key])
         p.set_defaults(func=fn, flags=flags)
-    # The battery's confined-process horizon.
-    sub.choices["verify"].set_defaults(T=50.0)
     return parser
 
 

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from ._util import ordered_map, write_csv
 from .eigen import EigenPair, InverseIteration, principal_eigenpair
 from .errors import NoConvergence, TooLarge
-from .grid import Generator, Grid, assemble_generator, build_grid, discrete_gradient
+from .grid import Generator, Grid, assemble_generator, build_grid, gradient_cost
 
 ENUMERATION_CAP = 2**20
 ENUMERATION_CHUNK = 4096
@@ -274,11 +274,8 @@ def hjb_residual(problem, h: float, mode: str = "MAX", tol: float = 1e-10) -> fl
     grid = trace.grid
     assert grid is not None and trace.final_generator is not None
     psi_log = trace.psi_log
-    g = discrete_gradient(grid, psi_log, extension="log-zero")
-    sig = problem.sigma(grid.nodes)
-    quad = 0.5 * np.sum((sig * g) ** 2, axis=1)
-    lin = trace.final_generator.matrix @ psi_log
-    resid = lin + quad + trace.lam
+    quad = gradient_cost(grid, problem.sigma(grid.nodes), psi_log)
+    resid = trace.final_generator.matrix @ psi_log + quad + trace.lam
     margin = HJB_MARGIN_FRAC * float(np.min(problem.hi - problem.lo))
     mask = grid.interior_mask(margin)
     if not np.any(mask):

@@ -248,6 +248,12 @@ def discrete_gradient(grid: Grid, field: np.ndarray, extension: str = "log-zero"
     return out
 
 
+def gradient_cost(grid: Grid, sig: np.ndarray, psi_log: np.ndarray) -> np.ndarray:
+    """0.5 |sigma^T grad log psi|^2 per node, the integrand of the variational formula
+    for the rate; `sig` is the problem's sigma on the grid nodes."""
+    return 0.5 * np.sum((sig * discrete_gradient(grid, psi_log, extension="log-zero")) ** 2, axis=1)
+
+
 def default_spacing(problem: ProblemSpec) -> float:
     """Default grid spacing: 1/64 in d=1, 1/32 in d=2."""
     return 1.0 / 64.0 if problem.dim == 1 else 1.0 / 32.0

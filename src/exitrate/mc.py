@@ -1,5 +1,8 @@
 """Monte Carlo engine: killed Euler-Maruyama paths, the conditioned process,
 exact continuous-time chain simulation, and exit-rate estimation.
+``monte_carlo_check`` runs the three checks of a policy's rate (killed-path
+rate, confined occupancy against mu_tilde, reweighting identity) for both
+``exitrate simulate`` and acceptance criterion 12.
 
 Paths are advanced in shards of fixed size, one counter-based substream per
 shard (Philox keyed by master seed and shard ordinal), and shard results are
@@ -30,7 +33,7 @@ from .errors import TooFewSurvivors, TooLargeForDense
 from .grid import Generator, Grid, discrete_gradient
 from .problems import _compiled
 from .qprocess import DENSE_CAP
-from ._util import ordered_map, philox, write_csv
+from ._util import line_fit, ordered_map, philox, write_csv
 
 SHARD = 32768
 _STREAM_QPROCESS = 0x900000000
@@ -221,20 +224,14 @@ def estimate_exit_rate(
     if survivors < 100:
         raise TooFewSurvivors(f"only {survivors} paths survive past t={t0:g}")
 
-    y = log_survival(counts)
-    slope, intercept = np.polyfit(times, y, 1)
-    fitted = slope * times + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-
+    slope, r2 = line_fit(times, log_survival(counts))
     rng = philox(ensemble.seed, _STREAM_BOOTSTRAP)
     slopes = np.empty(BOOTSTRAP_RESAMPLES)
     for b in range(BOOTSTRAP_RESAMPLES):
         pick = rng.integers(0, n, n)
         slopes[b] = np.polyfit(times, log_survival(alive(bins[pick])), 1)[0]
     return RateEstimate(
-        rate=float(-slope),
+        rate=-slope,
         stderr=float(slopes.std(ddof=1)),
         r_squared=r2,
         survivors_at_start=survivors,
@@ -521,8 +518,8 @@ def mc_girsanov_check(
     n_killed: int,
     n_qpaths: int,
     seed: int,
-    dt: float = 1e-3,
-    dt_q: float | None = None,
+    dt: float,
+    dt_q: float,
 ) -> dict:
     """Two independent estimates of the killed expectation of g at time t.
 
@@ -539,7 +536,7 @@ def mc_girsanov_check(
     lhs = float(lhs_samples.mean())
     lhs_half = 1.96 * float(lhs_samples.std(ddof=1)) / np.sqrt(n_killed)
 
-    occ = simulate_qprocess(problem, grid, policy, psi_log, x0, dt_q or dt, t, n_qpaths, seed)
+    occ = simulate_qprocess(problem, grid, policy, psi_log, x0, dt_q, t, n_qpaths, seed)
     psi_end = interpolate_field(grid, psi_log, occ.terminal_states)
     psi0 = float(interpolate_field(grid, psi_log, x0[None, :])[0])
     weight = np.exp(-pair.lam * t + psi0)
@@ -558,6 +555,35 @@ def mc_girsanov_check(
         "psi0": psi0,
         "projections": occ.projections,
     }
+
+
+def monte_carlo_check(
+    problem, grid: Grid, policy: Union[int, np.ndarray], pair, mu: np.ndarray, x0, seed: int,
+    killed: tuple[float, float, int], fit_window: tuple[float, float],
+    confined: tuple[float, float, int], reweight: tuple[float, int, int, float, float],
+) -> tuple[TrajectoryEnsemble, RateEstimate, QOccupancy, float, dict]:
+    """The three Monte Carlo checks of one policy's exit rate, from x0 with one seed.
+
+    killed = (dt, T, n_paths): killed paths, whose survival is fitted over
+    fit_window.  confined = (dt, T, n_paths): the conditioned process, whose
+    occupancy is compared in total variation with mu, the invariant law of the
+    transformed chain.  reweight = (t, n_killed, n_qpaths, dt, dt_q):
+    `mc_girsanov_check` on the middle half of the box, |x - mid| < (hi - lo) / 4.
+    Returns the killed ensemble, the rate estimate, the occupancy, its TV to mu
+    and the reweighting dict.
+    """
+    ens = simulate_killed(problem, policy, x0, *killed, seed, grid=grid)
+    est = estimate_exit_rate(ens, fit_window=fit_window)
+    occ = simulate_qprocess(problem, grid, policy, np.log(pair.psi), x0, *confined, seed)
+    tv = 0.5 * float(np.abs(occ.histogram - mu).sum())
+    mid, width = 0.5 * (problem.lo + problem.hi), 0.25 * (problem.hi - problem.lo)
+
+    def middle(points: np.ndarray) -> np.ndarray:
+        return (np.abs(points - mid) < width).all(axis=1).astype(float)
+
+    t, n_killed, n_qpaths, dt, dt_q = reweight
+    gir = mc_girsanov_check(problem, grid, policy, pair, middle, t, x0, n_killed, n_qpaths, seed, dt, dt_q)
+    return ens, est, occ, tv, gir
 
 
 def export_ensemble_csv(ensemble: TrajectoryEnsemble, path: str) -> None:

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
-from ._util import philox, write_csv
+from ._util import line_fit, philox, write_csv
 from .control import policy_iteration
 from .eigen import PERMC_SPEC, EigenPair, InverseIteration, check_irreducible
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
@@ -30,6 +30,7 @@ from .grid import (
     build_grid,
     discrete_gradient,
     drift_under_policy,
+    gradient_cost,
     monotone_stencil,
 )
 from .problems import with_bounds
@@ -57,15 +58,10 @@ EPS_CUT_FRACS = (0.25, 0.375, 0.125)
 
 @dataclass
 class QProcessModel:
-    """Conservative transformed generator plus the measures attached to it."""
+    """Conservative transformed generator; `stationary_measures` fills in product_residual."""
 
     g_tilde: sp.csr_matrix
-    lam: float
-    psi: np.ndarray
-    psi_log: np.ndarray
     row_sum_residual: float
-    mu_tilde: np.ndarray | None = None
-    alpha: np.ndarray | None = None
     product_residual: float | None = None
 
 
@@ -83,13 +79,7 @@ def doob_transform(gen: Generator | sp.spmatrix, pair: EigenPair | InverseIterat
     dia = sp.diags(psi)
     g_tilde = (inv @ mat @ dia + pair.lam * sp.identity(mat.shape[0])).tocsr()
     row_sums = np.asarray(g_tilde.sum(axis=1)).ravel()
-    return QProcessModel(
-        g_tilde=g_tilde,
-        lam=pair.lam,
-        psi=psi,
-        psi_log=np.log(psi),
-        row_sum_residual=float(np.abs(row_sums).max()),
-    )
+    return QProcessModel(g_tilde=g_tilde, row_sum_residual=float(np.abs(row_sums).max()))
 
 
 def null_vector(mat: sp.spmatrix | np.ndarray, pin: int) -> np.ndarray:
@@ -154,10 +144,8 @@ def stationary_measures(
         alpha = null_vector(mat + pair.lam * sp.identity(mat.shape[0], format="csr"), pin)
     except NullVectorNotUnique:
         alpha = pair.phi
-    product = model.psi * alpha
+    product = pair.psi * alpha
     product = product / product.sum()
-    model.mu_tilde = mu
-    model.alpha = alpha
     model.product_residual = float(np.abs(mu - product).sum())
     return mu, alpha
 
@@ -174,9 +162,7 @@ def rayleigh_identity(
     grid: Grid, problem, psi_log: np.ndarray, mu_tilde: np.ndarray, lam: float
 ) -> tuple[float, float]:
     """Quadratic-form estimate 0.5 sum |sigma^T grad psi|^2 mu and its relative error."""
-    g = discrete_gradient(grid, psi_log, extension="log-zero")
-    sig = problem.sigma(grid.nodes)
-    lam_hat = 0.5 * float(np.sum(np.sum((sig * g) ** 2, axis=1) * mu_tilde))
+    lam_hat = float(np.sum(gradient_cost(grid, problem.sigma(grid.nodes), psi_log) * mu_tilde))
     return lam_hat, abs(lam_hat - lam) / abs(lam)
 
 
@@ -369,14 +355,8 @@ def survival_asymptotics(
 
     rate = r2 = None
     if len(tv_points) >= 3:
-        ts = np.array([p[0] for p in tv_points])
-        ys = np.log([p[1] for p in tv_points])
-        slope, intercept = np.polyfit(ts, ys, 1)
-        fit = slope * ts + intercept
-        ss_res = float(np.sum((ys - fit) ** 2))
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        rate = float(-slope)
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+        slope, r2 = line_fit(np.array([p[0] for p in tv_points]), np.log([p[1] for p in tv_points]))
+        rate = -slope
 
     return SurvivalReport(
         rows=tuple(rows),
@@ -524,7 +504,6 @@ def verify_uniform_ergodicity(
     trace_min = policy_iteration(problem, h, mode="MIN", tol=tol, grid=grid)
     lam_star_min = trace_min.lam
     psi_log = trace_min.psi_log
-    g_hat = discrete_gradient(grid, psi_log, extension="log-zero")
     sig = problem.sigma(grid.nodes)
     a_diag = sig * sig
 
@@ -536,7 +515,7 @@ def verify_uniform_ergodicity(
     # The conditioned drift a grad(log psi_*) points toward the maximum of
     # psi_*, so the reflected chains' invariant laws are pinned there.
     pin = int(np.argmax(psi_log[sub_idx]))
-    quad = 0.5 * np.sum((sig * g_hat) ** 2, axis=1)
+    quad = gradient_cost(grid, sig, psi_log)
 
     def y_generator(action_or_policy) -> sp.csr_matrix:
         b = qprocess_drift(problem, grid, psi_log, action_or_policy)
@@ -598,13 +577,14 @@ def verify_uniform_ergodicity(
     }
 
 
-def export_measures_csv(grid: Grid, model: QProcessModel, pair: EigenPair, path: str, V: np.ndarray | None = None) -> None:
+def export_measures_csv(
+    grid: Grid, mu: np.ndarray, alpha: np.ndarray, pair: EigenPair, path: str, V: np.ndarray | None = None
+) -> None:
+    """Per node: mu_tilde and alpha (as `stationary_measures` returns them), psi, phi, and V when given."""
     coords = [f"x{k + 1}" for k in range(grid.d)]
     header = coords + ["mu_tilde", "alpha", "psi", "phi"] + (["V"] if V is not None else [])
-    mu = model.mu_tilde if model.mu_tilde is not None else np.full(grid.n, np.nan)
-    al = model.alpha if model.alpha is not None else np.full(grid.n, np.nan)
     rows = (
-        list(grid.nodes[i]) + [mu[i], al[i], pair.psi[i], pair.phi[i]] + ([V[i]] if V is not None else [])
+        list(grid.nodes[i]) + [mu[i], alpha[i], pair.psi[i], pair.phi[i]] + ([V[i]] if V is not None else [])
         for i in range(grid.n)
     )
     write_csv(path, header, rows)

@@ -351,7 +351,7 @@ def transform_point(lp: OccupationLP, candidate: int, policy: np.ndarray) -> Tra
     )
     # One variable per node, in node order.
     picks = np.flatnonzero((lp.action == policy[lp.node]) & (lp.wpoint == wi))
-    q = lp.rows[:, picks].T.toarray()
+    q = lp.rows[:, picks].T
     # The matched tilt reproduces a conditioned chain, whose law peaks near
     # the maximum of the candidate's eigenfunction: pin the null solve there.
     mu = null_vector(q, int(np.argmax(lp.candidates[candidate].psi_log)))

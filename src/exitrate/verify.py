@@ -21,7 +21,7 @@ from ._util import THREADS_ENV, dump_json, jsonable, philox
 from .control import action_generators, enumerate_policies, hjb_residual, policy_iteration
 from .eigen import principal_eigenpair
 from .grid import assemble_generator, build_grid, discrete_gradient
-from .mc import estimate_exit_rate, mc_girsanov_check, simulate_killed, simulate_qprocess
+from .mc import monte_carlo_check, simulate_killed
 from .problems import (
     bang_bang,
     bm_interval,
@@ -42,8 +42,8 @@ from .qprocess import (
 from .variational import MASS_TOL, TV_TOL, occupation_check
 
 DEFAULT_SEED = 20260814
-Q_PATHS = 32  # criterion 12's confined process: paths,
-Q_DT = 1e-3  # and time step
+# Criterion 12's killed paths and time step; its confined horizon, paths and time step.
+MC_SETTINGS = {"mc_paths": 100_000, "mc_dt": 1e-4, "q_T": 50.0, "q_paths": 32, "q_dt": 1e-3}
 PI_HALF = float(np.pi**2 / 2.0)
 
 
@@ -202,8 +202,7 @@ def _c7_quadratic_form(cfg: dict) -> dict:
         rel = {}
         for k in (64, 128):
             grid, gen, pair = _solve_const(prob, 1.0 / k, tol=cfg["tol"])
-            model = doob_transform(gen, pair)
-            mu, _ = stationary_measures(gen, model, pair)
+            mu, _ = stationary_measures(gen, doob_transform(gen, pair), pair)
             _, rel_err = rayleigh_identity(grid, prob, np.log(pair.psi), mu, pair.lam)
             rel[k] = rel_err
         ok = ok and rel[64] <= 0.05 and rel[128] < rel[64]
@@ -329,34 +328,20 @@ def _c11_lyapunov(cfg: dict) -> dict:
 def _c12_monte_carlo(cfg: dict) -> dict:
     t0 = time.perf_counter()
     prob = validate_problem(bm_interval())
-    ens = simulate_killed(
-        prob, 0, [0.5], dt=cfg["mc_dt"], T=1.6, n_paths=cfg["mc_paths"], seed=cfg["seed"]
+    grid, gen, pair = _solve_const(prob, 1.0 / 32, tol=cfg["tol"])
+    mu, _ = stationary_measures(gen, doob_transform(gen, pair), pair)
+    # The reweighted indicator, the middle half of the box, is 0.25 < x < 0.75 here.
+    _, est, occ, tv, gir = monte_carlo_check(
+        prob, grid, 0, pair, mu, [0.5], cfg["seed"],
+        killed=(cfg["mc_dt"], 1.6, cfg["mc_paths"]),
+        fit_window=(0.5, 1.5),
+        confined=(cfg["q_dt"], cfg["q_T"], cfg["q_paths"]),
+        reweight=(1.0, 50_000, 10_000, cfg["mc_dt"] / 10.0, cfg["mc_dt"]),
     )
-    est = estimate_exit_rate(ens, fit_window=(0.5, 1.5))
     beta_tol = max(3.0 * est.stderr, 0.05 * PI_HALF)
     beta_ok = abs(est.rate - PI_HALF) <= beta_tol
-
-    grid, gen, pair = _solve_const(prob, 1.0 / 32, tol=cfg["tol"])
-    model = doob_transform(gen, pair)
-    mu, _ = stationary_measures(gen, model, pair)
-    occ = simulate_qprocess(
-        prob, grid, 0, np.log(pair.psi), [0.5],
-        dt=cfg["q_dt"], T=cfg["q_T"], n_paths=cfg["q_paths"], seed=cfg["seed"],
-    )
-    tv = 0.5 * float(np.abs(occ.histogram - mu).sum())
-    tv_ok = tv <= 0.05
-    killed_ok = occ.killed == 0
-
-    def g(points: np.ndarray) -> np.ndarray:
-        return ((points[:, 0] > 0.25) & (points[:, 0] < 0.75)).astype(float)
-
-    gir = mc_girsanov_check(
-        prob, grid, 0, pair, g, t=1.0, x0=[0.5],
-        n_killed=50_000, n_qpaths=10_000, seed=cfg["seed"],
-        dt=cfg["mc_dt"] / 10.0, dt_q=cfg["mc_dt"],
-    )
     runtime_ok = (time.perf_counter() - t0) < 120.0
-    passed = beta_ok and tv_ok and killed_ok and gir["overlap"] and runtime_ok
+    passed = beta_ok and tv <= 0.05 and occ.killed == 0 and gir["overlap"] and runtime_ok
     return _entry(
         12,
         "Monte Carlo agrees: exit rate, confined occupancy, path-change identity",
@@ -420,8 +405,7 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
     sig = prob.sigma(grid.nodes)
 
     def both_forms(gen, pair):
-        model = doob_transform(gen, pair)
-        mu, alpha = stationary_measures(gen, model, pair)
+        mu, alpha = stationary_measures(gen, doob_transform(gen, pair), pair)
         v_log, _ = rayleigh_identity(grid, prob, np.log(pair.psi), mu, pair.lam)
         g_psi = discrete_gradient(grid, pair.psi, extension="zero")
         num = float(np.sum(np.sum((sig * g_psi) ** 2, axis=1) / pair.psi * alpha))
@@ -527,25 +511,11 @@ _CRITERIA: list[Callable[[dict], dict]] = [
 
 
 def run_acceptance(
-    seed: int = DEFAULT_SEED,
-    out_dir: str | None = None,
-    mc_paths: int = 100_000,
-    mc_dt: float = 1e-4,
-    q_T: float = 50.0,
-    tol: float = 1e-10,
-    echo: bool = False,
+    seed: int = DEFAULT_SEED, out_dir: str | None = None, tol: float = 1e-10, echo: bool = False
 ) -> dict:
     """Run all acceptance criteria; optionally write the JSON report."""
 
-    cfg = {
-        "seed": int(seed),
-        "mc_paths": int(mc_paths),
-        "mc_dt": float(mc_dt),
-        "q_T": float(q_T),
-        "q_paths": Q_PATHS,
-        "q_dt": Q_DT,
-        "tol": float(tol),
-    }
+    cfg = {"seed": int(seed), **MC_SETTINGS, "tol": float(tol)}
     entries = []
     for fn in _CRITERIA:
         entry = fn(cfg)

@@ -257,7 +257,17 @@ def test_report_config_records_exactly_the_flags_the_command_takes(command, tmp_
     assert set(config) == flags - {"out", "param"}
 
 
-@pytest.mark.parametrize("argv", [["variational", "--mode", "MIN"], ["solve", "--seed", "1"], ["optimize", "--action", "1"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["variational", "--mode", "MIN"],
+        ["solve", "--seed", "1"],
+        ["optimize", "--action", "1"],
+        ["verify", "--dt", "1e-4"],
+        ["verify", "--T", "50"],
+        ["verify", "--paths", "100000"],
+    ],
+)
 def test_dropped_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as err:
         build_parser().parse_args(argv)

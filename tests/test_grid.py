@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from exitrate.errors import NonconformingSpacing
-from exitrate.grid import build_grid, default_spacing, discrete_gradient
+from exitrate.control import policy_iteration
+from exitrate.grid import build_grid, default_spacing, discrete_gradient, gradient_cost
+from exitrate.qprocess import doob_transform, rayleigh_identity, stationary_measures
 
 
 def test_interval_node_count_and_coordinates(bm_interval):
@@ -108,6 +110,20 @@ def test_gradient_rejects_bad_input(bm_interval):
         discrete_gradient(grid, np.zeros(grid.n + 1))
     with pytest.raises(ValueError):
         discrete_gradient(grid, np.zeros(grid.n), extension="mirror")
+
+
+def test_gradient_cost_matches_the_inline_expression(rect_2d, rng):
+    trace = policy_iteration(rect_2d, 0.125, mode="MAX")
+    grid, gen, pair = trace.grid, trace.final_generator, trace.final_pair
+    sig = rect_2d.sigma(grid.nodes)
+    for psi_log in (trace.psi_log, np.log(rng.random(grid.n) + 0.1)):
+        g = discrete_gradient(grid, psi_log, extension="log-zero")
+        assert np.array_equal(gradient_cost(grid, sig, psi_log), 0.5 * np.sum((sig * g) ** 2, axis=1))
+    # Halving is exact, so the Rayleigh quotient keeps the bits of halving the sum.
+    mu, _ = stationary_measures(gen, doob_transform(gen, pair), pair)
+    g = discrete_gradient(grid, trace.psi_log, extension="log-zero")
+    inline = 0.5 * float(np.sum(np.sum((sig * g) ** 2, axis=1) * mu))
+    assert rayleigh_identity(grid, rect_2d, trace.psi_log, mu, pair.lam)[0] == inline
 
 
 def test_default_spacing_by_dimension(bm_interval, rect_2d):

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from exitrate._util import THREADS_ENV, philox
+from exitrate._util import THREADS_ENV, line_fit, philox
 from exitrate.eigen import principal_eigenpair
 from exitrate.errors import TooFewSurvivors, TooLargeForDense
 from exitrate.expressions import ExpressionError
@@ -25,12 +25,13 @@ from exitrate.mc import (
     export_histogram_csv,
     interpolate_field,
     mc_girsanov_check,
+    monte_carlo_check,
     simulate_ctmc,
     simulate_killed,
     simulate_qprocess,
 )
 from exitrate.problems import ProblemSpec
-from exitrate.qprocess import DENSE_CAP, doob_transform
+from exitrate.qprocess import DENSE_CAP, doob_transform, stationary_measures
 
 SEED = 20260814
 
@@ -217,7 +218,7 @@ def test_reweighted_identity_is_exact_at_time_zero(bm_interval):
         return (np.abs(points[:, 0] - 0.5) < 0.2).astype(float)
 
     res = mc_girsanov_check(
-        bm_interval, grid, 0, pair, g, t=0.0, x0=[0.5], n_killed=64, n_qpaths=16, seed=SEED
+        bm_interval, grid, 0, pair, g, t=0.0, x0=[0.5], n_killed=64, n_qpaths=16, seed=SEED, dt=1e-3, dt_q=1e-3
     )
     assert res["lhs"] == 1.0
     assert res["rhs"] == pytest.approx(1.0, abs=1e-12)
@@ -239,10 +240,65 @@ def test_reweighted_identity_zero_function(bm_interval):
         n_qpaths=64,
         seed=SEED,
         dt=1e-3,
+        dt_q=1e-3,
     )
     assert res["lhs"] == 0.0
     assert res["rhs"] == 0.0
     assert res["overlap"]
+
+
+@pytest.mark.parametrize("case", ["bm-interval", "rect-2d per-node"])
+def test_monte_carlo_check_returns_what_the_kernels_return(case, bm_interval, rect_2d):
+    if case == "bm-interval":
+        prob, x0, killed, window = bm_interval, [0.5], (1e-3, 1.6, 4_000), (0.5, 1.5)
+        trace = policy_iteration(prob, 1.0 / 16, mode="MAX")
+        policy = 0
+
+        def middle(points):
+            return ((points[:, 0] > 0.25) & (points[:, 0] < 0.75)).astype(float)
+
+    else:
+        prob, x0, killed, window = rect_2d, [0.5, 0.5], (1e-3, 0.7, 4_000), (0.1, 0.3)
+        trace = policy_iteration(prob, 1.0 / 8, mode="MAX")
+        policy = trace.final_policy
+        assert len(np.unique(policy)) > 1
+
+        def middle(points):
+            mid = np.array([0.5 * (lo + hi) for lo, hi in zip(prob.lo, prob.hi)])
+            width = np.array([0.25 * (hi - lo) for lo, hi in zip(prob.lo, prob.hi)])
+            return (np.abs(points - mid) < width).all(axis=1).astype(float)
+
+    grid, gen, pair = trace.grid, trace.final_generator, trace.final_pair
+    mu, _ = stationary_measures(gen, doob_transform(gen, pair), pair)
+    confined, reweight = (2e-3, 0.5, 8), (0.3, 2_000, 500, 1e-3, 2e-3)
+    ens, est, occ, tv, gir = monte_carlo_check(
+        prob, grid, policy, pair, mu, x0, SEED,
+        killed=killed, fit_window=window, confined=confined, reweight=reweight,
+    )
+
+    ref_ens = simulate_killed(prob, policy, x0, *killed, SEED, grid=grid)
+    for field in ("exit_times", "censored", "terminal_states"):
+        assert np.array_equal(getattr(ens, field), getattr(ref_ens, field))
+    assert est == estimate_exit_rate(ref_ens, fit_window=window)
+    ref_occ = simulate_qprocess(prob, grid, policy, trace.psi_log, x0, *confined, SEED)
+    assert np.array_equal(occ.histogram, ref_occ.histogram)
+    assert occ.projections == ref_occ.projections and occ.killed == ref_occ.killed == 0
+    assert tv == 0.5 * float(np.abs(ref_occ.histogram - mu).sum())
+    t, n_killed, n_qpaths, dt, dt_q = reweight
+    assert gir == mc_girsanov_check(
+        prob, grid, policy, pair, middle, t=t, x0=x0, n_killed=n_killed, n_qpaths=n_qpaths,
+        seed=SEED, dt=dt, dt_q=dt_q,
+    )
+
+
+def test_line_fit_matches_the_inline_formulas(rng):
+    x = np.linspace(0.5, 1.5, 41)
+    for y in (-4.9 * x + 0.01 * rng.standard_normal(41), np.log(rng.random(41)), np.full(41, -2.0)):
+        slope, intercept = np.polyfit(x, y, 1)
+        ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+        ss_tot = float(np.sum((y - y.mean()) ** 2))
+        assert line_fit(x, y) == (float(slope), 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
+    assert line_fit(x, np.full(41, -2.0))[1] == 1.0
 
 
 def test_csv_exports(tmp_path, bm_interval):

@@ -63,7 +63,7 @@ def test_three_node_transform_has_closed_form_rates(three_node):
     )
     np.testing.assert_allclose(gt, expected, atol=1e-9)
     assert model.row_sum_residual <= 1e-9
-    assert abs(model.lam - (16.0 - 8.0 * SQRT2)) < 1e-10
+    assert abs(pair.lam - (16.0 - 8.0 * SQRT2)) < 1e-10
 
 
 def test_three_node_invariant_law_is_quarter_half_quarter(three_node):
@@ -74,7 +74,8 @@ def test_three_node_invariant_law_is_quarter_half_quarter(three_node):
     # Exit law: psi renormalized to unit sum, (1, sqrt2, 1) / (2 + sqrt2).
     np.testing.assert_allclose(alpha, np.array([1, SQRT2, 1]) / (2 + SQRT2), atol=1e-12)
     assert model.product_residual <= 1e-13
-    assert model.mu_tilde is not None and model.alpha is not None
+    assert mu.shape == alpha.shape == (3,)
+    assert mu.sum() == pytest.approx(1.0, abs=1e-15) and alpha.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -404,13 +405,7 @@ def test_disconnected_transformed_chain_is_rejected():
     block = sp.block_diag(
         [np.array([[-1.0, 1.0], [1.0, -1.0]]), np.array([[-2.0, 2.0], [2.0, -2.0]])]
     ).tocsr()
-    model = QProcessModel(
-        g_tilde=block,
-        lam=1.0,
-        psi=np.ones(4),
-        psi_log=np.zeros(4),
-        row_sum_residual=0.0,
-    )
+    model = QProcessModel(g_tilde=block, row_sum_residual=0.0)
     gen_matrix = (block - sp.identity(4)).tocsr()
     with pytest.raises(NullVectorNotUnique):
         stationary_measures(gen_matrix, model, _fake_pair(1.0, np.ones(4)))
@@ -418,10 +413,10 @@ def test_disconnected_transformed_chain_is_rejected():
 
 def test_measures_csv_export(tmp_path, three_node):
     gen, pair = three_node
-    model = doob_transform(gen, pair)
-    stationary_measures(gen, model, pair)
+    mu, alpha = stationary_measures(gen, doob_transform(gen, pair), pair)
     path = tmp_path / "measures.csv"
-    export_measures_csv(gen.grid, model, pair, str(path))
+    export_measures_csv(gen.grid, mu, alpha, pair, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "x1,mu_tilde,alpha,psi,phi"
     assert len(lines) == gen.grid.n + 1
+    assert [float(v) for v in lines[2].split(",")[1:3]] == [mu[1], alpha[1]]
