@@ -48,7 +48,6 @@ from .qprocess import (
     doob_transform,
     girsanov_check,
     lyapunov_certificate,
-    qprocess_drift,
     rayleigh_identity,
     stationary_measures,
     survival_asymptotics,
@@ -95,7 +94,6 @@ __all__ = [
     "policy_iteration",
     "principal_eigenpair",
     "problem_by_name",
-    "qprocess_drift",
     "rayleigh_identity",
     "save_problem",
     "stationary_measures",

@@ -1,15 +1,18 @@
 """Command-line front end.
 
 Subcommands: solve, optimize, qprocess, variational, simulate, verify,
-representations.  Each declares only the flags it reads (see SUBCOMMANDS),
-and every report embeds those resolved settings, the seed among them where
-the subcommand takes one, so a run can be replayed exactly.  Exit codes:
-0 success, 1 usage or runtime error, 2 verification failure.
+representations.  Each declares only the flags it reads (see SUBCOMMANDS).
+Every subcommand but verify is a handler on one problem that returns its
+report and its files; run_on_problem resolves the problem, embeds the
+resolved flags in the report, the seed among them where the subcommand takes
+one, so a run can be replayed exactly, and emits the report before the files.
+Exit codes: 0 success, 1 usage or runtime error, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -52,50 +55,49 @@ def _params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _resolve_problem(args: argparse.Namespace):
-    """The validated problem and the spacing: --h when given, else the default."""
+def run_on_problem(handler, args: argparse.Namespace) -> int:
+    """Resolve the problem, run a subcommand handler on it and emit what it returns.
+
+    The report embeds the subcommand's flags as resolved under "config", with
+    --out left out and --param as "params" only when given.  It is printed or,
+    given --out, written to <out>/<command>_report.json before the handler's files.
+    """
     params = _params(args)
     spec = load_problem(args.problem) if args.problem.endswith(".json") else problem_by_name(args.problem, **params)
     prob = validate_problem(spec)
-    return prob, (args.h if args.h is not None else default_spacing(prob))
-
-
-def _config_dict(args: argparse.Namespace, prob, h: float) -> dict:
-    """The subcommand's own flags as resolved: the output directory is left
-    out, and --param appears as "params" only when given."""
-    cfg = {key: getattr(args, key) for key in args.flags if key not in ("problem", "param", "h", "out")}
-    cfg["problem"] = prob.name
-    cfg["h"] = h
-    if args.param:
-        cfg["params"] = _params(args)
-    return jsonable(cfg)
-
-
-def _emit(report: dict, args: argparse.Namespace, stem: str) -> None:
-    report = jsonable(report)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        dump_json(report, os.path.join(args.out, stem + ".json"))
-    else:
+    h = args.h if args.h is not None else default_spacing(prob)
+    report, files = handler(args, prob, h)
+    config = {key: getattr(args, key) for key in args.flags if key not in ("problem", "param", "h", "out")}
+    config.update(problem=prob.name, h=h)
+    if params:
+        config["params"] = params
+    report = jsonable({"config": config, **report})
+    if not args.out:
         print(json.dumps(report, sort_keys=True, indent=2), flush=True)
+        return 0
+    os.makedirs(args.out, exist_ok=True)
+    dump_json(report, os.path.join(args.out, f"{args.command}_report.json"))
+    for name, write in files.items():
+        write(os.path.join(args.out, name))
+    return 0
 
 
 def _x0_point(args, prob) -> list[float]:
-    if args.x0 is not None:
-        vals = [float(s) for s in args.x0.split(",")]
-        if len(vals) != prob.dim:
-            raise ExitRateError(f"--x0 needs {prob.dim} coordinates, got {len(vals)}")
-        return vals
-    return [0.5 * (lo + hi) for lo, hi in zip(prob.lo, prob.hi)]
+    """--x0 as prob.dim coordinates strictly inside the box; the centre by default."""
+    if args.x0 is None:
+        return [0.5 * (lo + hi) for lo, hi in prob.bounds]
+    vals = [float(s) for s in args.x0.split(",")]
+    if len(vals) != prob.dim or not all(lo < v < hi for v, (lo, hi) in zip(vals, prob.bounds)):
+        box = " x ".join(f"({lo:g}, {hi:g})" for lo, hi in prob.bounds)
+        raise ExitRateError(f"--x0 {args.x0} needs {prob.dim} coordinates strictly inside the box {box}")
+    return vals
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    prob, h = _resolve_problem(args)
+def cmd_solve(args: argparse.Namespace, prob, h: float):
     grid = build_grid(prob, h)
     gen = assemble_generator(grid, prob, args.action)
     pair = principal_eigenpair(gen, tol=args.tol)
     report = {
-        "config": _config_dict(args, prob, h),
         "lam": pair.lam,
         "cw_interval": list(pair.cw_interval),
         "residual": pair.residual,
@@ -103,17 +105,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "iterations": pair.iterations,
         "n_nodes": grid.n,
     }
-    _emit(report, args, "solve_report")
-    if args.out:
-        export_eigen_csv(grid, pair, os.path.join(args.out, "eigenpair.csv"))
-    return 0
+    return report, {"eigenpair.csv": lambda path: export_eigen_csv(grid, pair, path)}
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    prob, h = _resolve_problem(args)
+def cmd_optimize(args: argparse.Namespace, prob, h: float):
     trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol)
     report = {
-        "config": _config_dict(args, prob, h),
         "lam": trace.lam,
         "sweeps": len(trace.steps),
         "converged": trace.converged,
@@ -122,15 +119,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "cw_interval": list(trace.final_pair.cw_interval),
         "n_nodes": trace.grid.n,
     }
-    _emit(report, args, "optimize_report")
-    if args.out:
-        export_trace_csv(trace, os.path.join(args.out, "trace.csv"))
-        export_eigen_csv(trace.grid, trace.final_pair, os.path.join(args.out, "eigenpair.csv"))
-    return 0
+    return report, {
+        "trace.csv": lambda path: export_trace_csv(trace, path),
+        "eigenpair.csv": lambda path: export_eigen_csv(trace.grid, trace.final_pair, path),
+    }
 
 
-def cmd_qprocess(args: argparse.Namespace) -> int:
-    prob, h = _resolve_problem(args)
+def cmd_qprocess(args: argparse.Namespace, prob, h: float):
+    x0_point = _x0_point(args, prob)
     trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol)
     grid, gen, pair = trace.grid, trace.final_generator, trace.final_pair
     model = doob_transform(gen, pair)
@@ -138,11 +134,10 @@ def cmd_qprocess(args: argparse.Namespace) -> int:
     _, rayleigh_rel = rayleigh_identity(grid, prob, trace.psi_log, mu, pair.lam)
     rng = philox(args.seed, 0xC11)
     _, _, sup_gap = girsanov_check(gen, pair, 1.0, rng.random((3, grid.n)).T)
-    x0 = int(grid.nearest_index(np.array([_x0_point(args, prob)]))[0])
+    x0 = int(grid.nearest_index(np.array([x0_point]))[0])
     surv = survival_asymptotics(gen, pair, t_list=(1.0, 5.0, 10.0), x0_index=x0)
     cert = lyapunov_certificate(prob, h, trace.final_policy, tol=args.tol)
     report = {
-        "config": _config_dict(args, prob, h),
         "lam": pair.lam,
         "row_sum_residual": model.row_sum_residual,
         "product_residual": model.product_residual,
@@ -157,18 +152,13 @@ def cmd_qprocess(args: argparse.Namespace) -> int:
         },
         "certificate": {"rho": cert.rho, "C": cert.C, "eps": cert.eps},
     }
-    _emit(report, args, "qprocess_report")
-    if args.out:
-        export_measures_csv(grid, mu, alpha, pair, os.path.join(args.out, "measures.csv"), V=cert.V)
-    return 0
+    return report, {"measures.csv": lambda path: export_measures_csv(grid, mu, alpha, pair, path, V=cert.V)}
 
 
-def cmd_variational(args: argparse.Namespace) -> int:
-    prob, h = _resolve_problem(args)
+def cmd_variational(args: argparse.Namespace, prob, h: float):
     check = occupation_check(prob, h, tol=args.tol)
     sol, lp = check.sol, check.sol.lp
     report = {
-        "config": _config_dict(args, prob, h),
         "lp_value": sol.value,
         "lam_star": check.lam_star,
         "rel_gap": abs(sol.value - check.lam_star) / abs(check.lam_star),
@@ -179,15 +169,14 @@ def cmd_variational(args: argparse.Namespace) -> int:
         "feasibility_residual": sol.feasibility_residual,
         "structure": check.structure,
     }
-    _emit(report, args, "variational_report")
-    if args.out:
-        export_solution_csv(sol, os.path.join(args.out, "occupation.csv"), threshold=1e-12)
-        export_mps(lp, os.path.join(args.out, "occupation.mps"))
-    return 0
+    return report, {
+        "occupation.csv": lambda path: export_solution_csv(sol, path),
+        "occupation.mps": lambda path: export_mps(lp, path),
+    }
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    prob, h = _resolve_problem(args)
+def cmd_simulate(args: argparse.Namespace, prob, h: float):
+    x0_point = _x0_point(args, prob)
     grid = build_grid(prob, h)
     # One action: one sweep, with principal_eigenpair's bits; policy 0 keeps the constant-drift path.
     trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol, grid=grid)
@@ -195,14 +184,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     policy = 0 if prob.n_actions == 1 else trace.final_policy
     mu, _ = stationary_measures(gen, doob_transform(gen, pair), pair)
     ens, est, occ, tv, gir = monte_carlo_check(
-        prob, grid, policy, pair, mu, _x0_point(args, prob), args.seed,
+        prob, grid, policy, pair, mu, x0_point, args.seed,
         killed=(args.dt, args.T, args.paths),
         fit_window=(0.25 * args.T, 0.75 * args.T),
         confined=(args.dt, args.T, max(4, args.paths // 2048)),
         reweight=(min(1.0, args.T), args.paths // 2, args.paths // 5, args.dt, args.dt),
     )
     report = {
-        "config": _config_dict(args, prob, h),
         "lam": pair.lam,
         "beta_hat": est.rate,
         "beta_stderr": est.stderr,
@@ -212,11 +200,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "projections": occ.projections,
         "girsanov": {k: gir[k] for k in ("lhs", "rhs", "overlap")},
     }
-    _emit(report, args, "simulate_report")
-    if args.out:
-        export_ensemble_csv(ens, os.path.join(args.out, "ensemble.csv"))
-        export_histogram_csv(grid, occ.histogram, os.path.join(args.out, "occupancy.csv"))
-    return 0
+    return report, {
+        "ensemble.csv": lambda path: export_ensemble_csv(ens, path),
+        "occupancy.csv": lambda path: export_histogram_csv(grid, occ.histogram, path),
+    }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -225,8 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report["all_passed"] else 2
 
 
-def cmd_representations(args: argparse.Namespace) -> int:
-    prob, h = _resolve_problem(args)
+def cmd_representations(args: argparse.Namespace, prob, h: float):
     rep = four_representations(prob, h, tol=args.tol)
     vals = rep["values"]
     labels = [
@@ -236,14 +222,12 @@ def cmd_representations(args: argparse.Namespace) -> int:
         "eigenfunction_ratio_family_min",
     ]
     report = {
-        "config": _config_dict(args, prob, h),
         "values": dict(zip(labels, vals)),
         "max_pairwise_rel_diff": rep["max_pairwise_rel_diff"],
         "lam_star": rep["lam_star"],
         "n_policies": rep["n_policies"],
     }
-    _emit(report, args, "representations_report")
-    return 0
+    return report, {}
 
 
 # Every flag a subcommand can take: its option string is "--" + the key.
@@ -291,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for key in flags:
             p.add_argument("--" + key, **FLAGS[key])
-        p.set_defaults(func=fn, flags=flags)
+        p.set_defaults(run=functools.partial(run_on_problem, fn) if "problem" in flags else fn, flags=flags)
     return parser
 
 
@@ -299,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.run(args)
     except (ExitRateError, FileNotFoundError, KeyError, ValueError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)

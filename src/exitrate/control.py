@@ -6,15 +6,16 @@ mode minimizes it and reaches lambda_lower-star, the maximum over policies.
 Improvement scores each action by the rows of its own constant-action
 generator, the monotone stencil that evaluation solves, and is scale-free
 in Psi.  Each sweep solves only Psi; the left eigenvector phi is solved once,
-on the converged sweep's LU.  Sweep generators are gathered row by row from
-the constant-action generators, which a caller's grid keeps with the start
-policy's solve.  An exhaustive enumeration oracle checks small lattices.
+on the converged sweep's LU, and the trace is returned only then.  Sweep
+generators are gathered row by row from the constant-action generators, which
+a caller's grid keeps, keyed by the problem, with the start policy's solve.
+An exhaustive enumeration oracle checks small lattices.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -46,24 +47,28 @@ class PolicyIterationStep:
     n_changes: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyIterationTrace:
+    """A converged policy iteration: policy_iteration raises NoConvergence
+    rather than return any other."""
+
     mode: str
-    steps: list[PolicyIterationStep] = field(default_factory=list)
-    converged: bool = False
-    grid: Grid | None = None
-    final_policy: np.ndarray | None = None
-    final_pair: EigenPair | None = None
-    final_generator: Generator | None = None
+    steps: tuple[PolicyIterationStep, ...]
+    grid: Grid
+    final_policy: np.ndarray
+    final_pair: EigenPair
+    final_generator: Generator
+
+    @property
+    def converged(self) -> bool:
+        return True
 
     @property
     def lam(self) -> float:
-        assert self.final_pair is not None
         return self.final_pair.lam
 
     @property
     def psi_log(self) -> np.ndarray:
-        assert self.final_pair is not None
         return np.log(self.final_pair.psi)
 
 
@@ -102,18 +107,17 @@ def policy_improve(
     return np.where(keep, current, winner)
 
 
-def action_generators(grid: Grid, problem, keep: bool = True) -> list[Generator]:
+def action_generators(grid: Grid, problem, keep: bool = True) -> tuple[Generator, ...]:
     """The k constant-action generators, assembled once per (grid, problem).
 
-    With keep, grid.shared holds them under id(problem), beside the problem, as
-    (matrix, killed) pairs: a held Generator would point back at the grid."""
-    entry = grid.shared.get(id(problem))
-    if entry is None:
-        gens = [assemble_generator(grid, problem, u) for u in range(problem.n_actions)]
-        entry = (problem, [(g.matrix, g.killed) for g in gens])
+    With keep, grid.shared holds them under the problem, which hashes by value:
+    assembly reads only the problem's fields and the grid."""
+    gens = grid.shared.get(problem)
+    if gens is None:
+        gens = tuple(assemble_generator(grid, problem, u) for u in range(problem.n_actions))
         if keep:
-            grid.shared[id(problem)] = entry
-    return [Generator(matrix=m, killed=k, grid=grid) for m, k in entry[1]]
+            grid.shared[problem] = gens
+    return gens
 
 
 def _policy_generator(actions: Sequence[Generator], policy: np.ndarray) -> Generator:
@@ -128,7 +132,7 @@ def _policy_generator(actions: Sequence[Generator], policy: np.ndarray) -> Gener
     data = np.stack([a.matrix.data for a in actions])[entry_action, np.arange(first.nnz)]
     killed = np.stack([a.killed for a in actions])[policy, np.arange(len(policy))]
     mat = sp.csr_matrix((data, first.indices, first.indptr), shape=first.shape)
-    return Generator(matrix=mat, killed=killed, grid=actions[0].grid)
+    return Generator(matrix=mat, killed=killed)
 
 
 def policy_iteration(
@@ -153,7 +157,7 @@ def policy_iteration(
         grid = build_grid(problem, h)
     actions = action_generators(grid, problem, keep)
     matrices = [a.matrix for a in actions]
-    trace = PolicyIterationTrace(mode=mode, grid=grid)
+    steps: list[PolicyIterationStep] = []
     v = np.zeros(grid.n, dtype=int)
     seen: dict[tuple[int, ...], float] = {}
     prev: tuple[int, ...] | None = None
@@ -163,23 +167,19 @@ def policy_iteration(
         gen = actions[0] if prev is None else _policy_generator(actions, v)
         if prev is None and potential is None and keep:
             # Each trace gets a copy, so its left() cannot move the LU of the next.
-            if (id(problem), tol) not in grid.shared:
-                grid.shared[id(problem), tol] = InverseIteration(gen, tol=tol).right()
-            solver = copy.copy(grid.shared[id(problem), tol])
+            if (problem, tol) not in grid.shared:
+                grid.shared[problem, tol] = InverseIteration(gen, tol=tol).right()
+            solver = copy.copy(grid.shared[problem, tol])
         else:
             mat = gen.matrix if potential is None else gen.matrix - sp.diags(potential)
             solver = InverseIteration(mat, tol=tol).right()
         seen[key] = solver.lam
         changes = 0 if prev is None else int(np.sum(np.asarray(prev) != v))
-        trace.steps.append(PolicyIterationStep(key, solver.lam, solver.cw_interval, changes))
+        steps.append(PolicyIterationStep(key, solver.lam, solver.cw_interval, changes))
         v_new = policy_improve(matrices, solver.psi, mode, current=v, slack=100.0 * tol)
         new_key = tuple(v_new.tolist())
         if new_key == key:
-            trace.converged = True
-            trace.final_policy = v
-            trace.final_pair = solver.left()
-            trace.final_generator = gen
-            return trace
+            return PolicyIterationTrace(mode, tuple(steps), grid, v, solver.left(), gen)
         if new_key in seen:
             raise NoConvergence(
                 f"policy iteration entered a cycle at sweep {sweep}: the policy at lambda "
@@ -188,7 +188,7 @@ def policy_iteration(
             )
         prev = key
         v = v_new
-    last = trace.steps[-1]
+    last = steps[-1]
     raise NoConvergence(
         f"policy iteration did not converge in {MAX_SWEEPS} sweeps: last lambda "
         f"{last.lam!r} after {last.n_changes} node changes"
@@ -272,7 +272,6 @@ def hjb_residual(problem, h: float, mode: str = "MAX", tol: float = 1e-10) -> fl
     """
     trace = policy_iteration(problem, h, mode=mode, tol=tol)
     grid = trace.grid
-    assert grid is not None and trace.final_generator is not None
     psi_log = trace.psi_log
     quad = gradient_cost(grid, problem.sigma(grid.nodes), psi_log)
     resid = trace.final_generator.matrix @ psi_log + quad + trace.lam

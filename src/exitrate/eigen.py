@@ -15,7 +15,7 @@ hi - lo <= tol * max(1, |lambda|): the bracket is rigorous for the current
 vector and, unlike an absolute residual, does not grow with the generator's
 h^-2 entries.  The bracket cannot shrink below its own roundoff floor (about
 eps * |G|_inf), so an iteration whose bracket has not halved in STALL_STEPS
-steps raises NoConvergence at once instead of spinning to max_iter.
+steps raises NoConvergence at once instead of spinning to MAX_ITER.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .grid import Generator, as_matrix
 # retargeted shifts have had their turn.
 STALL_STEPS = 120
 RETARGET_STEPS = 40
+# A backstop on the steps of one side; the stall rule ends a stuck run first.
+MAX_ITER = 10000
 # Column ordering of every sparse LU: the stencils' patterns are structurally symmetric.
 PERMC_SPEC = "MMD_AT_PLUS_A"
 
@@ -88,9 +90,11 @@ class InverseIteration:
     whole EigenPair.
     """
 
-    def __init__(self, g: Generator | sp.spmatrix, tol: float = 1e-10, max_iter: int = 10000) -> None:
+    def __init__(self, g: Generator | sp.spmatrix, tol: float = 1e-10) -> None:
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {tol!r}")
         self.mat = as_matrix(g).tocsr()
-        self.n, self.tol, self.max_iter = self.mat.shape[0], tol, max_iter
+        self.n, self.tol = self.mat.shape[0], tol
         check_irreducible(self.mat, NonPositiveEigenvector, "generator pattern")
         # Each factor adds its shift to -G at diag_at.  A generator's diagonal
         # is negative; any other matrix first stores its zeros there.
@@ -124,12 +128,12 @@ class InverseIteration:
         if self.n == 1:
             lam = float(-self.mat[0, 0])
             return np.ones(1), lam, (lam, lam), 0
-        mat, tol, max_iter = (self.mat_t if transpose else self.mat), self.tol, self.max_iter
+        mat, tol = (self.mat_t if transpose else self.mat), self.tol
         v = np.ones(self.n)
         it, lo, hi = 0, float("nan"), float("nan")
         ref_width, ref_it = float("inf"), 0
-        reason = f"max_iter={max_iter} reached"
-        while it < max_iter:
+        reason = f"MAX_ITER={MAX_ITER} reached"
+        while it < MAX_ITER:
             y = self._step(v, transpose)
             it += 1
             if y.min() <= 0:
@@ -181,11 +185,9 @@ class InverseIteration:
         return EigenPair(lam, psi, phi, residual, residual_left, self.cw_interval, self.iterations + it_l)
 
 
-def principal_eigenpair(
-    g: Generator | sp.spmatrix, tol: float = 1e-10, max_iter: int = 10000
-) -> EigenPair:
+def principal_eigenpair(g: Generator | sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     """Positive right/left principal eigenpair by shifted inverse iteration."""
-    return InverseIteration(g, tol, max_iter).right().left()
+    return InverseIteration(g, tol).right().left()
 
 
 def export_eigen_csv(grid, pair: EigenPair, path: str) -> None:

@@ -108,7 +108,6 @@ class Generator:
 
     matrix: sp.csr_matrix
     killed: np.ndarray
-    grid: Grid
 
     @property
     def n(self) -> int:
@@ -209,7 +208,7 @@ def assemble_generator(grid: Grid, problem: ProblemSpec, policy: int | np.ndarra
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(sig))):
         raise NonFiniteCoefficient(f"{problem.name}: coefficients not finite on the grid")
     mat, killed = monotone_stencil(grid, m, sig * sig)
-    return Generator(matrix=mat, killed=killed, grid=grid)
+    return Generator(matrix=mat, killed=killed)
 
 
 def discrete_gradient(grid: Grid, field: np.ndarray, extension: str = "log-zero") -> np.ndarray:

@@ -43,6 +43,8 @@ _STREAM_CTMC = 0xC00000000
 # and its stderr comes from this many bootstrap resamples of the paths.
 RATE_FIT_POINTS = 41
 BOOTSTRAP_RESAMPLES = 200
+# simulate_qprocess: halvings of a step leaving the box before it is projected.
+MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -326,13 +328,12 @@ def simulate_qprocess(
     T: float,
     n_paths: int,
     seed: int,
-    max_halvings: int = 20,
 ) -> QOccupancy:
     """Conditioned-process SDE with boundary rejection.
 
     The drift adds a * (interpolated gradient of psi_log) to the policy drift.
     A proposal leaving the box is retried with half the step; after
-    max_halvings failures the proposal is projected onto the layer two cells
+    MAX_HALVINGS failures the proposal is projected onto the layer two cells
     inside the boundary and the projection counter is incremented.  Paths are
     never killed.
     """
@@ -373,7 +374,7 @@ def simulate_qprocess(
         trial = full.copy()
         halvings = np.zeros(n_paths, dtype=np.int64)
         while True:
-            stuck = ~inside & (halvings[idx] >= max_halvings)
+            stuck = ~inside & (halvings[idx] >= MAX_HALVINGS)
             if stuck.any():
                 prop[stuck] = np.clip(prop[stuck], lo + 2 * h, hi - 2 * h)
                 projections += int(stuck.sum())
@@ -551,9 +552,6 @@ def mc_girsanov_check(
         "rhs": rhs,
         "rhs_ci": (rhs - rhs_half, rhs + rhs_half),
         "overlap": bool(overlap),
-        "lam": pair.lam,
-        "psi0": psi0,
-        "projections": occ.projections,
     }
 
 

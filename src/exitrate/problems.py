@@ -21,6 +21,7 @@ from .errors import EllipticityViolation, NonFiniteCoefficient, TooLarge
 from .expressions import Expression, parse_expression
 
 MAX_ACTIONS = 64
+VALIDATION_POINTS = 33
 
 
 @functools.lru_cache(maxsize=4096)
@@ -100,7 +101,6 @@ class ValidatedProblem(ProblemSpec):
     """A ProblemSpec together with its sampled validation annotations."""
 
     ellipticity_floor_sampled: float
-    lattice_n: int
 
 
 def _spec_fields(spec: ProblemSpec) -> dict:
@@ -108,12 +108,12 @@ def _spec_fields(spec: ProblemSpec) -> dict:
     return {f.name: getattr(spec, f.name) for f in dataclasses.fields(ProblemSpec)}
 
 
-def validate_problem(spec: ProblemSpec, lattice_n: int = 33) -> ValidatedProblem:
+def validate_problem(spec: ProblemSpec) -> ValidatedProblem:
     """Check ellipticity and coefficient finiteness on a closed-box lattice.
 
     Idempotent: validating a ValidatedProblem re-derives the same annotation.
     """
-    axes = [np.linspace(lo, hi, lattice_n) for lo, hi in spec.bounds]
+    axes = [np.linspace(lo, hi, VALIDATION_POINTS) for lo, hi in spec.bounds]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
 
@@ -128,7 +128,7 @@ def validate_problem(spec: ProblemSpec, lattice_n: int = 33) -> ValidatedProblem
     for k in range(spec.n_actions):
         if not np.all(np.isfinite(spec.drift(pts, k))):
             raise NonFiniteCoefficient(f"{spec.name}: drift under action {k} is not finite")
-    return ValidatedProblem(**_spec_fields(spec), ellipticity_floor_sampled=floor, lattice_n=lattice_n)
+    return ValidatedProblem(**_spec_fields(spec), ellipticity_floor_sampled=floor)
 
 
 def bm_interval() -> ProblemSpec:

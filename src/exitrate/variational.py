@@ -470,7 +470,7 @@ def export_mps(lp: OccupationLP, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def export_solution_csv(sol: OccupationSolution, path: str, threshold: float = 0.0) -> None:
+def export_solution_csv(sol: OccupationSolution, path: str) -> None:
     lp = sol.lp
     d = lp.grid.d
     header = (
@@ -481,7 +481,7 @@ def export_solution_csv(sol: OccupationSolution, path: str, threshold: float = 0
         + ["cost", "mass"]
     )
     rows = []
-    for j in np.flatnonzero(sol.pi > threshold):
+    for j in np.flatnonzero(sol.pi > 1e-12):
         x, wp = lp.node[j], lp.w_grid[lp.wpoint[j]]
         rows.append(
             [x]

@@ -109,6 +109,11 @@ def test_variational_solves_rect_2d_at_an_eighth(capsys):
         (["simulate", "--h", "0.125", "--T", "inf"], "T must be finite and nonnegative, got inf"),
         (["simulate", "--h", "0.125", "--T", "-1"], "T must be finite and nonnegative, got -1.0"),
         (["simulate", "--h", "0.125", "--paths", "0"], "n_paths must be at least 1, got 0"),
+        (["qprocess", "--x0", "5"], "--x0 5 needs 1 coordinates strictly inside the box (0, 1)"),
+        (["qprocess", "--x0", "nan"], "--x0 nan needs 1 coordinates strictly inside the box (0, 1)"),
+        (["simulate", "--h", "0.125", "--x0", "1.5"], "--x0 1.5 needs 1 coordinates strictly inside the box (0, 1)"),
+        (["solve", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
+        (["solve", "--tol", "nan"], "tol must be finite and positive, got nan"),
     ],
 )
 def test_bad_spacing_step_or_path_count_is_rejected(capsys, argv, named):

@@ -21,6 +21,7 @@ from exitrate.control import (
 from exitrate.eigen import principal_eigenpair
 from exitrate.errors import NoConvergence, TooLarge
 from exitrate.grid import assemble_generator, build_grid
+from exitrate.problems import problem_by_name, validate_problem
 
 
 def _action_generators(grid, problem):
@@ -326,14 +327,22 @@ def _same_trace(a, b) -> bool:
     return a.steps == b.steps and all(_same_bits(x, y) for x, y in pairs)
 
 
-@pytest.mark.parametrize("name, h", [("bang_bang", 1 / 32), ("rect_2d", 1 / 8)])
-def test_traces_on_a_caller_grid_assemble_each_action_once(name, h, request, monkeypatch):
+@pytest.mark.parametrize(
+    "name, h, twin",
+    [("bang_bang", 1 / 32, False), ("rect_2d", 1 / 8, False), ("bang_bang", 1 / 32, True)],
+    ids=["bang_bang-0.03125", "rect_2d-0.125", "bang_bang-0.03125-twin"],
+)
+def test_traces_on_a_caller_grid_assemble_each_action_once(name, h, twin, request, monkeypatch):
     problem = request.getfixturevalue(name)
     fresh = {mode: policy_iteration(problem, h, mode=mode) for mode in ("MAX", "MIN")}
+    # With twin, MIN runs on a second problem object equal to the first.
+    problems = {"MAX": problem, "MIN": validate_problem(problem_by_name(problem.name)) if twin else problem}
+    assert problems["MIN"] == problem and (problems["MIN"] is not problem) == twin
     calls = count_assembly(monkeypatch)
     grid = build_grid(problem, h)
-    shared = {mode: policy_iteration(problem, h, mode=mode, grid=grid) for mode in ("MAX", "MIN")}
+    shared = {mode: policy_iteration(problems[mode], h, mode=mode, grid=grid) for mode in ("MAX", "MIN")}
     assert calls == {u: 1 for u in range(problem.n_actions)}
+    assert set(grid.shared) == {problem, (problem, 1e-10)}
     for mode in ("MAX", "MIN"):
         assert _same_trace(shared[mode], fresh[mode]), mode
 
@@ -343,7 +352,7 @@ def test_a_grid_built_by_policy_iteration_keeps_nothing(bang_bang):
     assert trace.grid.shared == {}
     grid = build_grid(bang_bang, 1 / 16)
     policy_iteration(bang_bang, 1 / 16, mode="MAX", grid=grid)
-    assert set(grid.shared) == {id(bang_bang), (id(bang_bang), 1e-10)}
+    assert set(grid.shared) == {bang_bang, (bang_bang, 1e-10)}
 
 
 def test_dropping_the_grid_and_traces_frees_the_shared_setup(bang_bang):
@@ -353,9 +362,8 @@ def test_dropping_the_grid_and_traces_frees_the_shared_setup(bang_bang):
     try:
         grid = build_grid(bang_bang, 1 / 16)
         traces = [policy_iteration(bang_bang, 1 / 16, mode=mode, grid=grid) for mode in ("MAX", "MIN")]
-        _, pairs = grid.shared[id(bang_bang)]
-        refs = [weakref.ref(m) for m, _ in pairs] + [weakref.ref(grid.shared[id(bang_bang), 1e-10])]
-        del grid, traces, pairs
+        refs = [weakref.ref(g) for g in grid.shared[bang_bang]] + [weakref.ref(grid.shared[bang_bang, 1e-10])]
+        del grid, traces
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
@@ -376,7 +384,7 @@ def test_max_and_min_share_the_start_solve(bm_interval, monkeypatch):
         for f in ("lam", "psi", "phi", "cw_interval", "residual", "residual_left", "iterations"):
             assert _same_bits(getattr(trace.final_pair, f), getattr(direct, f)), f
     # Each trace ran left() on its own copy; the kept solver stays as right() left it.
-    kept = grid.shared[id(bm_interval), tol]
+    kept = grid.shared[bm_interval, tol]
     assert len(solvers["left"]) == 2 and kept not in solvers["left"]
     assert solvers["left"][0] is not solvers["left"][1]
     assert not hasattr(kept, "mat_t")

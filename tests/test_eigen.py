@@ -47,11 +47,12 @@ def test_three_node_chain_against_dense_oracle(bm_interval):
 def test_lattice_eigenvalue_closed_form(bm_interval, h):
     # The discrete sine mode diagonalizes the constant-coefficient chain:
     # lambda_h = (2/h^2) sin^2(pi h / 2).
-    gen = assemble_generator(build_grid(bm_interval, h), bm_interval, 0)
+    grid = build_grid(bm_interval, h)
+    gen = assemble_generator(grid, bm_interval, 0)
     pair = principal_eigenpair(gen, tol=1e-12)
     expected = 2.0 / (h * h) * np.sin(np.pi * h / 2.0) ** 2
     assert abs(pair.lam - expected) < 1e-9
-    x = gen.grid.nodes[:, 0]
+    x = grid.nodes[:, 0]
     mode = np.sin(np.pi * x) / np.sin(np.pi * x).max()
     np.testing.assert_allclose(pair.psi, mode, atol=1e-9)
 
@@ -194,10 +195,20 @@ def test_fine_interval_converges_at_a_relative_tolerance(bm_interval):
     assert lo <= pair.lam <= hi
 
 
-def test_iteration_cap_is_a_backstop(bm_interval):
+def test_iteration_cap_is_a_backstop(bm_interval, monkeypatch):
     gen = assemble_generator(build_grid(bm_interval, 1 / 64), bm_interval, 0)
-    with pytest.raises(NoConvergence, match="after 3 iterations .*max_iter=3"):
-        principal_eigenpair(gen, max_iter=3)
+    monkeypatch.setattr(eigen, "MAX_ITER", 3)
+    with pytest.raises(NoConvergence, match="after 3 iterations .*MAX_ITER=3"):
+        principal_eigenpair(gen)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_tol_must_be_finite_and_positive(bm_interval, tol, monkeypatch):
+    # Rejected before any factorisation, not after a run that cannot stop.
+    gen = assemble_generator(build_grid(bm_interval, 1 / 4), bm_interval, 0)
+    monkeypatch.setattr(eigen, "splu", None)
+    with pytest.raises(ValueError, match=re.escape(f"tol must be finite and positive, got {tol!r}")):
+        InverseIteration(gen, tol)
 
 
 @pytest.mark.parametrize("name, h", [("bm-interval", 1 / 1024), ("rect-2d", 1 / 128), ("bang-bang", 1 / 1024)])
@@ -208,7 +219,7 @@ def test_factored_matrix_is_shift_minus_the_generator_bit_for_bit(name, h, monke
     factored = []
     monkeypatch.setattr(eigen, "splu", lambda a, **kw: factored.append(a.copy()) or splu(a, **kw))
     solver = InverseIteration(gen)
-    grid = gen.grid
+    grid = build_grid(problem_by_name(name), h)
     smooth = np.prod(np.sin(np.pi * (grid.nodes - grid.lo) / (grid.hi - grid.lo)), axis=1)
     lo, hi = cw_bounds(gen, smooth)
     retarget = -(hi + max(1e-8, hi - lo))

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 
+from exitrate import mc
 from exitrate._util import THREADS_ENV, line_fit, philox
 from exitrate.eigen import principal_eigenpair
 from exitrate.errors import TooFewSurvivors, TooLargeForDense
@@ -386,7 +387,7 @@ def _ref_interpolate(grid, field, points):
     return out[:, 0] if squeeze else out
 
 
-def _ref_qprocess(problem, grid, policy, psi_log, x0, dt, T, n_paths, seed, max_halvings=20):
+def _ref_qprocess(problem, grid, policy, psi_log, x0, dt, T, n_paths, seed, max_halvings):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     lo, hi, h = grid.lo, grid.hi, grid.h
     grad = discrete_gradient(grid, psi_log, extension="log-zero")
@@ -522,10 +523,10 @@ def test_killed_x_dependent_coefficients_match_the_plain_loop(policy):
     _assert_killed_matches(simulate_killed(*args, grid=grid), _ref_killed(*args, grid=grid))
 
 
-def _assert_confined_matches(problem, grid, policy, psi_log, x0, dt, T, n_paths, max_halvings=20):
-    occ = simulate_qprocess(problem, grid, policy, psi_log, x0, dt, T, n_paths, SEED, max_halvings)
+def _assert_confined_matches(problem, grid, policy, psi_log, x0, dt, T, n_paths):
+    occ = simulate_qprocess(problem, grid, policy, psi_log, x0, dt, T, n_paths, SEED)
     hist, terminal, projections = _ref_qprocess(
-        problem, grid, policy, psi_log, x0, dt, T, n_paths, SEED, max_halvings
+        problem, grid, policy, psi_log, x0, dt, T, n_paths, SEED, mc.MAX_HALVINGS
     )
     np.testing.assert_array_equal(occ.histogram, hist)
     np.testing.assert_array_equal(occ.terminal_states, terminal)
@@ -555,13 +556,14 @@ def test_confined_x_dependent_coefficients_match_the_plain_loop():
     ],
 )
 def test_confined_halving_and_projection_match_the_plain_loop(
-    name, h, x0, dt, max_halvings, bang_bang, rect_2d
+    name, h, x0, dt, max_halvings, bang_bang, rect_2d, monkeypatch
 ):
     # Steps this large near the wall leave the box, so the retry loop halves
     # them and, after max_halvings, projects.
     prob = bang_bang if name == "bang-bang" else rect_2d
     tr = policy_iteration(prob, h, mode="MAX")
-    occ = _assert_confined_matches(prob, tr.grid, tr.final_policy, tr.psi_log, x0, dt, 1.0, 64, max_halvings)
+    monkeypatch.setattr(mc, "MAX_HALVINGS", max_halvings)
+    occ = _assert_confined_matches(prob, tr.grid, tr.final_policy, tr.psi_log, x0, dt, 1.0, 64)
     assert occ.projections > 0
 
 

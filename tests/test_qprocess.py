@@ -22,7 +22,6 @@ from exitrate.qprocess import (
     girsanov_check,
     lyapunov_certificate,
     null_vector,
-    qprocess_drift,
     rayleigh_identity,
     stationary_measures,
     survival_asymptotics,
@@ -295,14 +294,22 @@ def test_conditioned_tv_decay_rate_matches_the_modes(three_node):
     assert edge.tv_fit_r2 > 0.99
 
 
-def test_conditioned_drift_pushes_away_from_the_boundary(bm_interval):
-    grid = build_grid(bm_interval, 1 / 32)
-    gen = assemble_generator(grid, bm_interval, 0)
-    pair = principal_eigenpair(gen)
-    m = qprocess_drift(bm_interval, grid, np.log(pair.psi), 0)
-    assert m[0, 0] > 1.0
-    assert m[-1, 0] < -1.0
-    assert abs(m[grid.n // 2, 0]) < 1e-8
+def test_conditioned_drift_pushes_away_from_the_boundary(bm_interval, monkeypatch):
+    # bm-interval has no drift of its own, so the reflected chains'
+    # conditioned drift is the pull a grad(log psi_*) on the sub-lattice.
+    drifts = []
+    real = qprocess.monotone_stencil
+
+    def recorded(grid, drift, *args, **kwargs):
+        drifts.append(drift)
+        return real(grid, drift, *args, **kwargs)
+
+    monkeypatch.setattr(qprocess, "monotone_stencil", recorded)
+    verify_uniform_ergodicity(bm_interval, 1 / 32, n_policies=1)
+    pull = drifts[0][:, 0]
+    assert pull[0] > 1.0
+    assert pull[-1] < -1.0
+    assert abs(pull[len(pull) // 2]) < 1e-8
 
 
 def test_quadratic_form_identity_converges_with_the_mesh(bm_interval):
@@ -411,12 +418,13 @@ def test_disconnected_transformed_chain_is_rejected():
         stationary_measures(gen_matrix, model, _fake_pair(1.0, np.ones(4)))
 
 
-def test_measures_csv_export(tmp_path, three_node):
+def test_measures_csv_export(tmp_path, three_node, bm_interval):
     gen, pair = three_node
+    grid = build_grid(bm_interval, 0.25)
     mu, alpha = stationary_measures(gen, doob_transform(gen, pair), pair)
     path = tmp_path / "measures.csv"
-    export_measures_csv(gen.grid, mu, alpha, pair, str(path))
+    export_measures_csv(grid, mu, alpha, pair, str(path))
     lines = path.read_text().splitlines()
     assert lines[0] == "x1,mu_tilde,alpha,psi,phi"
-    assert len(lines) == gen.grid.n + 1
+    assert len(lines) == grid.n + 1
     assert [float(v) for v in lines[2].split(",")[1:3]] == [mu[1], alpha[1]]
