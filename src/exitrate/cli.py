@@ -25,7 +25,7 @@ from .control import policy_iteration, export_trace_csv
 from .eigen import principal_eigenpair, export_eigen_csv
 from .errors import ExitRateError
 from .grid import assemble_generator, build_grid, default_spacing
-from .mc import export_ensemble_csv, export_histogram_csv, monte_carlo_check
+from .mc import check_confined_start, export_ensemble_csv, export_histogram_csv, monte_carlo_check
 from .problems import CATALOG, load_problem, problem_by_name, validate_problem
 from .qprocess import (
     doob_transform,
@@ -86,7 +86,10 @@ def _x0_point(args, prob) -> list[float]:
     """--x0 as prob.dim coordinates strictly inside the box; the centre by default."""
     if args.x0 is None:
         return [0.5 * (lo + hi) for lo, hi in prob.bounds]
-    vals = [float(s) for s in args.x0.split(",")]
+    try:
+        vals = [float(s) for s in args.x0.split(",")]
+    except ValueError:
+        raise ExitRateError(f"--x0 {args.x0} needs {prob.dim} comma-separated numbers") from None
     if len(vals) != prob.dim or not all(lo < v < hi for v, (lo, hi) in zip(vals, prob.bounds)):
         box = " x ".join(f"({lo:g}, {hi:g})" for lo, hi in prob.bounds)
         raise ExitRateError(f"--x0 {args.x0} needs {prob.dim} coordinates strictly inside the box {box}")
@@ -178,6 +181,7 @@ def cmd_variational(args: argparse.Namespace, prob, h: float):
 def cmd_simulate(args: argparse.Namespace, prob, h: float):
     x0_point = _x0_point(args, prob)
     grid = build_grid(prob, h)
+    check_confined_start(grid, x0_point, what="--x0 " + ",".join(f"{v:g}" for v in x0_point))
     # One action: one sweep, with principal_eigenpair's bits; policy 0 keeps the constant-drift path.
     trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol, grid=grid)
     gen, pair = trace.final_generator, trace.final_pair

@@ -55,13 +55,22 @@ class Grid:
         return self.dist_boundary() > eps + 1e-12
 
     def nearest_index(self, points: np.ndarray) -> np.ndarray:
-        """Indices of the interior nodes nearest to the given points."""
+        """Indices of the interior nodes nearest to the given points.
+
+        Per axis the node is rint((x - lo) / h) - 1, clamped to the lattice.
+        The Monte Carlo step loops call this once per step, so it works one
+        coordinate column at a time, with scalar constants: numpy broadcasts
+        a (d,) row over many rows far more slowly.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        multi = []
-        for k in range(self.d):
-            i = np.rint((pts[:, k] - self.lo[k]) / self.h).astype(int) - 1
-            multi.append(np.minimum(np.maximum(i, 0), self.dims[k] - 1))
-        return np.ravel_multi_index(tuple(multi), self.dims)
+        flat = None
+        for k, size in enumerate(self.dims):
+            i = np.rint((pts[:, k] - self.lo[k]) / self.h).astype(np.int64)
+            i -= 1
+            np.maximum(i, 0, out=i)
+            np.minimum(i, size - 1, out=i)
+            flat = i if flat is None else flat * size + i
+        return flat
 
 
 def build_grid(problem: ProblemSpec, h: float) -> Grid:

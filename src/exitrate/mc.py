@@ -10,21 +10,33 @@ concatenated in shard order.  Worker count therefore cannot change any output
 bit.  Exits use the plain first-step-outside rule with no bridge correction;
 the O(sqrt(dt)) bias this leaves is covered by the dt-refinement test.
 
+Threads: killed shards are ``ordered_map`` tasks on up to EXITRATE_THREADS
+pool threads.  With fewer shards than workers, a helper thread per shard
+draws the shard's normals ahead from the shard's own generator
+(``_DrawAhead``); Philox normals are the same values however the draws are
+split, so the step loop gets the bits it would have drawn itself.  The
+reweighting check runs its killed and confined sides, which use independent
+streams, as two ``ordered_map`` tasks.  EXITRATE_THREADS=1 starts no thread.
+
 The step loops are kept to a handful of numpy calls per step.  A coefficient
 whose expressions name no coordinate is one constant row, broadcast rather
 than evaluated; a per-node policy with constant action drifts is a per-node
 table gathered by the nearest node.  The confined process finds each point's
-cell once per attempt and blends the drift correction from a table of cell
-corners, and only paths whose full step leaves the box enter the halving
+nearest node and blended drift correction in one ``_Interpolant`` call per
+attempt, and only paths whose full step leaves the box enter the halving
 loop.  Every shortcut does the float operations of the plain evaluation in
 the same order, so no output bit depends on which path a step takes.
 """
 
 from __future__ import annotations
 
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,7 +45,7 @@ from .errors import TooFewSurvivors, TooLargeForDense
 from .grid import Generator, Grid, discrete_gradient
 from .problems import _compiled
 from .qprocess import DENSE_CAP
-from ._util import line_fit, ordered_map, philox, write_csv
+from ._util import line_fit, ordered_map, philox, worker_count, write_csv
 
 SHARD = 32768
 _STREAM_QPROCESS = 0x900000000
@@ -45,6 +57,10 @@ RATE_FIT_POINTS = 41
 BOOTSTRAP_RESAMPLES = 200
 # simulate_qprocess: halvings of a step leaving the box before it is projected.
 MAX_HALVINGS = 20
+# A lone killed shard's normals are drawn ahead in blocks of this many values,
+# at most this many blocks ahead of the step loop.
+DRAW_BLOCK = 2**15
+DRAW_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -94,7 +110,7 @@ def _coefficients(problem, policy: Union[int, np.ndarray], grid: Optional[Grid])
 
     if all(row is not None for row in rows):
         table = np.array(rows)[actions]
-        return (lambda x, near=None: table[nodes(x, near)]), sigma
+        return (lambda x, near=None: table.take(nodes(x, near), axis=0)), sigma
 
     def drift(x: np.ndarray, near: Optional[np.ndarray] = None) -> np.ndarray:
         act = actions[nodes(x, near)]
@@ -117,6 +133,81 @@ def _check_run(dt: float, T: float, n_paths: int) -> None:
         raise ValueError(f"n_paths must be at least 1, got {n_paths!r}")
 
 
+def _in_place(ufunc: np.ufunc, a: np.ndarray, b: np.ndarray) -> None:
+    """a = ufunc(a, b) in place, for an (n, d) array a and b either (n, d) or
+    one (d,) row.  A row is applied one column at a time: the same values,
+    as numpy broadcasts a short row over many rows far more slowly."""
+    if b.ndim == 1:
+        for axis in range(len(b)):
+            ufunc(a[:, axis], b[axis], out=a[:, axis])
+    else:
+        ufunc(a, b, out=a)
+
+
+class _DrawAhead:
+    """A generator's standard normals, drawn on a helper thread in DRAW_BLOCK
+    blocks into a queue at most DRAW_DEPTH blocks deep.
+
+    ``take(count)`` hands out the next count values in draw order.  A Philox
+    stream's normals do not depend on how the draws are split, so the values
+    are the bits ``rng.standard_normal(count)`` would give in the same order.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._queue: queue.Queue = queue.Queue(maxsize=DRAW_DEPTH)
+        self._stop = threading.Event()
+        self._block = np.empty(0)
+        self._pos = 0
+        self._thread = threading.Thread(target=self._fill, args=(rng,), daemon=True)
+        self._thread.start()
+
+    def _fill(self, rng: np.random.Generator) -> None:
+        try:
+            while not self._stop.is_set():
+                self._queue.put(rng.standard_normal(DRAW_BLOCK))
+        except Exception as exc:  # raised in the step loop by take()
+            self._queue.put(exc)
+
+    def take(self, count: int) -> np.ndarray:
+        pieces = []
+        while count:
+            if self._pos == len(self._block):
+                block = self._queue.get()
+                if isinstance(block, Exception):
+                    raise block
+                self._block, self._pos = block, 0
+            piece = self._block[self._pos : self._pos + count]
+            self._pos += len(piece)
+            count -= len(piece)
+            pieces.append(piece)
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+    def close(self) -> None:
+        # After the stop flag the helper puts at most one more block; with
+        # the queue emptied, that put cannot block, so the join returns.
+        self._stop.set()
+        try:
+            while True:
+                self._queue.get_nowait()
+        except queue.Empty:
+            pass
+        self._thread.join()
+
+
+@contextmanager
+def _normals(rng: np.random.Generator, ahead: bool) -> Iterator[Callable[[int], np.ndarray]]:
+    """draw(count): the next count standard normals of rng, drawn ahead on a
+    helper thread when ``ahead`` holds; the helper is joined on exit."""
+    if not ahead:
+        yield rng.standard_normal
+        return
+    feed = _DrawAhead(rng)
+    try:
+        yield feed.take
+    finally:
+        feed.close()
+
+
 def simulate_killed(
     problem,
     policy: Union[int, np.ndarray],
@@ -127,7 +218,11 @@ def simulate_killed(
     seed: int,
     grid: Optional[Grid] = None,
 ) -> TrajectoryEnsemble:
-    """Euler-Maruyama until the first step that lands outside the open box."""
+    """Euler-Maruyama until the first step that lands outside the open box.
+
+    With fewer shards than workers, each shard's normals are drawn ahead on a
+    helper thread (``_DrawAhead``) while the shard steps its paths.
+    """
 
     _check_run(dt, T, n_paths)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -141,41 +236,45 @@ def simulate_killed(
     sq = np.sqrt(dt)
     drift, sigma = _coefficients(problem, policy, grid)
 
+    n_shards = (n_paths + SHARD - 1) // SHARD
+    ahead = n_shards < worker_count()
+
     def run_shard(shard: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         count = min(SHARD, n_paths - shard * SHARD)
-        rng = philox(seed, shard)
         x = np.tile(x0, (count, 1))
         alive = np.arange(count)
         exit_times = np.full(count, horizon)
         censored = np.ones(count, dtype=bool)
         terminal = np.zeros((count, d))
-        for k in range(n_steps):
-            if not len(alive):
-                break
-            # x + m * dt + (s * z) * sq, in place but in that order, so the
-            # bits match the out-of-place expression; x is this shard's own
-            # copy.  m and s are constant rows or (count, d) arrays.
-            m = drift(x)
-            s = sigma(x)
-            x += m * dt
-            z = rng.standard_normal(x.shape)
-            z *= s
-            z *= sq
-            x += z
-            out = np.any((x <= lo) | (x >= hi), axis=1)
-            if out.any():
-                rows = np.flatnonzero(out)
-                gone = alive[rows]
-                exit_times[gone] = (k + 1) * dt
-                censored[gone] = False
-                terminal[gone] = x[rows]
-                keep = np.flatnonzero(~out)
-                x = x[keep]
-                alive = alive[keep]
+        with _normals(philox(seed, shard), ahead) as draw:
+            for k in range(n_steps):
+                if not len(alive):
+                    break
+                # x + m * dt + (s * z) * sq, in place but in that order, so the
+                # bits match the out-of-place expression; x is this shard's own
+                # copy.  m and s are constant rows or (count, d) arrays.
+                m = drift(x)
+                s = sigma(x)
+                _in_place(np.add, x, m * dt)
+                z = draw(x.size).reshape(x.shape)
+                _in_place(np.multiply, z, s)
+                z *= sq
+                x += z
+                out = (x[:, 0] <= lo[0]) | (x[:, 0] >= hi[0])
+                for axis in range(1, d):
+                    out |= (x[:, axis] <= lo[axis]) | (x[:, axis] >= hi[axis])
+                if out.any():
+                    rows = np.flatnonzero(out)
+                    gone = alive[rows]
+                    exit_times[gone] = (k + 1) * dt
+                    censored[gone] = False
+                    terminal[gone] = x[rows]
+                    keep = np.flatnonzero(~out)
+                    x = x.take(keep, axis=0)
+                    alive = alive[keep]
         terminal[alive] = x
         return exit_times, censored, terminal
 
-    n_shards = (n_paths + SHARD - 1) // SHARD
     parts = ordered_map(run_shard, list(range(n_shards)))
     return TrajectoryEnsemble(
         n_paths=n_paths,
@@ -240,59 +339,61 @@ def estimate_exit_rate(
     )
 
 
-def _cells(grid: Grid, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's cell: its lower-corner node (flat index) and the (n, d)
-    fractions along each axis, both clamped to the node hull."""
+class _Interpolant:
+    """Multilinear interpolation of one (n, m) node field, clamped at the node
+    hull, with each point's nearest node.
 
-    base = []
-    frac = np.zeros((len(points), grid.d))
-    for k, size in enumerate(grid.dims):
-        if size == 1:
-            base.append(np.zeros(len(points), dtype=np.int64))
-            continue
-        t = (points[:, k] - (grid.lo[k] + grid.h)) / grid.h
-        cell = np.minimum(np.maximum(np.floor(t), 0), size - 2)
-        base.append(cell.astype(np.int64))
-        frac[:, k] = np.minimum(np.maximum(t - cell, 0.0), 1.0)
-    return np.ravel_multi_index(base, grid.dims), frac
-
-
-def _corner_table(grid: Grid, field: np.ndarray) -> np.ndarray:
-    """(n, 2^d, m): the (n, m) field at the corners of the cell whose lower
-    corner is each node, in ``product((0, 1), repeat=d)`` order."""
-
-    lower = np.unravel_index(np.arange(grid.n), grid.dims)
-    columns = []
-    for corner in product((0, 1), repeat=grid.d):
-        idx = [np.minimum(lower[k] + corner[k], grid.dims[k] - 1) for k in range(grid.d)]
-        columns.append(field[np.ravel_multi_index(idx, grid.dims)])
-    return np.stack(columns, axis=1)
-
-
-def _blend(corners: np.ndarray, cell: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Multilinear blend of each point's cell corners.
-
-    A corner's weight is the product over axes, in axis order, of frac or
-    1 - frac, and the weighted corners are added into zeros in ``product``
-    order: the float operations of a plain per-corner loop.
+    Built once per (grid, field): the field at each node's cell corners, one
+    (n, m) column per corner in ``product((0, 1), repeat=d)`` order, and the
+    per-axis constants of the cell lookup.  A corner's weight is the product
+    over axes, in axis order, of frac or 1 - frac, and the weighted corners
+    are added into zeros in ``product`` order: the float operations of a
+    plain per-corner loop.
     """
 
-    # Which axes each corner takes the upper node on, in product order.
-    pick = np.array(list(product((False, True), repeat=frac.shape[1])))
-    weights = np.multiply.reduce(np.where(pick, frac[:, None, :], 1.0 - frac[:, None, :]), axis=2)
-    terms = weights[:, :, None] * corners[cell]
-    out = np.zeros((len(cell), corners.shape[2]))
-    for j in range(len(pick)):
-        out += terms[:, j]
-    return out
+    def __init__(self, grid: Grid, field: np.ndarray):
+        dims = np.array(grid.dims)
+        self.grid = grid
+        self.base = grid.lo + grid.h
+        self.last_cell = np.maximum(dims - 2, 0)
+        self.single = [k for k, size in enumerate(grid.dims) if size == 1]
+        self.strides = np.array([int(np.prod(dims[k + 1 :])) for k in range(grid.d)])
+        lower = np.unravel_index(np.arange(grid.n), grid.dims)
+        self.corners = list(product((0, 1), repeat=grid.d))
+        self.columns = [
+            field[np.ravel_multi_index([np.minimum(lower[k] + c[k], dims[k] - 1) for k in range(grid.d)], grid.dims)]
+            for c in self.corners
+        ]
+
+    def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(nearest node, (len(points), m) blended field) of (n, d) points."""
+        grid = self.grid
+        near = grid.nearest_index(points)
+        t = (points - self.base) / grid.h
+        cell = np.floor(t)
+        np.maximum(cell, 0.0, out=cell)
+        np.minimum(cell, self.last_cell, out=cell)
+        t -= cell
+        frac = np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        if self.single:
+            frac[:, self.single] = 0.0
+        at = cell.astype(np.int64) @ self.strides
+        factors = ((1.0 - frac).T, frac.T)
+        out = np.zeros((len(points), self.columns[0].shape[1]))
+        for corner, column in zip(self.corners, self.columns):
+            w = factors[corner[0]][0]
+            for axis in range(1, grid.d):
+                w = w * factors[corner[axis]][axis]
+            out += w[:, None] * column.take(at, axis=0)
+        return near, out
 
 
 def interpolate_field(grid: Grid, field: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of node values, clamped at the node hull.
 
-    Each call builds the corner table of the whole grid, so it costs O(grid
+    Each call builds the corner columns of the whole grid, so it costs O(grid
     size) as well as O(points); a loop that blends one field many times
-    builds the table once and calls ``_blend`` instead.
+    builds one ``_Interpolant`` instead.
     """
 
     field = np.asarray(field, dtype=float)
@@ -300,7 +401,7 @@ def interpolate_field(grid: Grid, field: np.ndarray, points: np.ndarray) -> np.n
     if squeeze:
         field = field[:, None]
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    out = _blend(_corner_table(grid, field), *_cells(grid, points))
+    out = _Interpolant(grid, field)(points)[1]
     return out[:, 0] if squeeze else out
 
 
@@ -316,6 +417,17 @@ class QOccupancy:
     dt: float
     horizon: float
     seed: int
+
+
+def check_confined_start(grid: Grid, x0, what: str = "start point") -> np.ndarray:
+    """x0 as an array, if it lies at least two cells inside every wall, as the
+    conditioned process needs; otherwise a ValueError naming ``what``."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    lo, hi = grid.lo + 2 * grid.h, grid.hi - 2 * grid.h
+    if np.any(x0 <= lo) or np.any(x0 >= hi):
+        box = " x ".join(f"({a:g}, {b:g})" for a, b in zip(lo, hi))
+        raise ValueError(f"{what} must sit two cells inside the box at h={grid.h:g}, in {box}")
+    return x0
 
 
 def simulate_qprocess(
@@ -339,20 +451,20 @@ def simulate_qprocess(
     """
 
     _check_run(dt, T, n_paths)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = check_confined_start(grid, x0)
     lo, hi, h = grid.lo, grid.hi, grid.h
-    if np.any(x0 <= lo + 2 * h) or np.any(x0 >= hi - 2 * h):
-        raise ValueError("start point must sit at least two cells inside")
-    corners = _corner_table(grid, discrete_gradient(grid, psi_log, extension="log-zero"))
+    correction = _Interpolant(grid, discrete_gradient(grid, psi_log, extension="log-zero"))
     drift, sigma = _coefficients(problem, policy, grid)
     n_steps = int(round(T / dt))
     horizon = n_steps * dt
     rng = philox(seed, _STREAM_QPROCESS)
 
-    def propose(xs: np.ndarray, near: np.ndarray, step, sq) -> np.ndarray:
+    def propose(xs: np.ndarray, step, sq) -> tuple[np.ndarray, np.ndarray]:
+        """The nearest node of each point and its proposal."""
+        near, grad = correction(xs)
         s = sigma(xs)
-        m = drift(xs, near) + s * s * _blend(corners, *_cells(grid, xs))
-        return xs + m * step + s * rng.standard_normal(xs.shape) * sq
+        m = drift(xs, near) + s * s * grad
+        return near, xs + m * step + s * rng.standard_normal(xs.shape) * sq
 
     x = np.tile(x0, (n_paths, 1))
     occupancy = np.zeros(grid.n)
@@ -361,13 +473,12 @@ def simulate_qprocess(
     sq = np.sqrt(dt)
     for _ in range(n_steps):
         # Every path first tries the full step.
-        near = grid.nearest_index(x)
-        prop = propose(x, near, dt, sq)
-        inside = ((prop > lo) & (prop < hi)).all(axis=1)
-        if inside.all():
+        near, prop = propose(x, dt, sq)
+        if (prop > lo).all() and (prop < hi).all():
             occupancy += np.bincount(near, weights=full, minlength=grid.n)
             x = prop
             continue
+        inside = ((prop > lo) & (prop < hi)).all(axis=1)
         idx = np.arange(n_paths)
         step = full
         remaining = full.copy()
@@ -395,8 +506,7 @@ def simulate_qprocess(
                 break
             xs = x[idx]
             step = np.minimum(trial[idx], remaining[idx])
-            near = grid.nearest_index(xs)
-            prop = propose(xs, near, step[:, None], np.sqrt(step)[:, None])
+            near, prop = propose(xs, step[:, None], np.sqrt(step)[:, None])
             inside = ((prop > lo) & (prop < hi)).all(axis=1)
     total = n_paths * horizon if horizon > 0 else 1.0
     return QOccupancy(
@@ -526,18 +636,25 @@ def mc_girsanov_check(
 
     The direct side averages g over surviving killed paths; the conditioned
     side reweights the confined process by the eigenfunction and its rate.
+    The sides draw from independent streams and run as two ``ordered_map``
+    tasks, at once when there are two workers.
     The killed side carries the O(sqrt(dt)) exit bias and usually needs a
     finer dt than the confined side, whose paths stay off the boundary.
     """
 
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = check_confined_start(grid, x0)
     psi_log = np.log(pair.psi)
-    ens = simulate_killed(problem, policy, x0, dt, t, n_killed, seed, grid=grid)
+    ens, occ = ordered_map(
+        lambda side: side(),
+        [
+            partial(simulate_killed, problem, policy, x0, dt, t, n_killed, seed, grid=grid),
+            partial(simulate_qprocess, problem, grid, policy, psi_log, x0, dt_q, t, n_qpaths, seed),
+        ],
+    )
     lhs_samples = np.where(ens.censored, g(ens.terminal_states), 0.0)
     lhs = float(lhs_samples.mean())
     lhs_half = 1.96 * float(lhs_samples.std(ddof=1)) / np.sqrt(n_killed)
 
-    occ = simulate_qprocess(problem, grid, policy, psi_log, x0, dt_q, t, n_qpaths, seed)
     psi_end = interpolate_field(grid, psi_log, occ.terminal_states)
     psi0 = float(interpolate_field(grid, psi_log, x0[None, :])[0])
     weight = np.exp(-pair.lam * t + psi0)
@@ -570,6 +687,7 @@ def monte_carlo_check(
     Returns the killed ensemble, the rate estimate, the occupancy, its TV to mu
     and the reweighting dict.
     """
+    check_confined_start(grid, x0)
     ens = simulate_killed(problem, policy, x0, *killed, seed, grid=grid)
     est = estimate_exit_rate(ens, fit_window=fit_window)
     occ = simulate_qprocess(problem, grid, policy, np.log(pair.psi), x0, *confined, seed)

@@ -114,6 +114,12 @@ def test_variational_solves_rect_2d_at_an_eighth(capsys):
         (["simulate", "--h", "0.125", "--x0", "1.5"], "--x0 1.5 needs 1 coordinates strictly inside the box (0, 1)"),
         (["solve", "--tol", "-1"], "tol must be finite and positive, got -1.0"),
         (["solve", "--tol", "nan"], "tol must be finite and positive, got nan"),
+        (
+            ["simulate", "--h", "0.125", "--x0", "0.2"],
+            "--x0 0.2 must sit two cells inside the box at h=0.125, in (0.25, 0.75)",
+        ),
+        (["qprocess", "--x0", "abc"], "--x0 abc needs 1 comma-separated numbers"),
+        (["simulate", "--h", "0.125", "--x0", "0.5,x"], "--x0 0.5,x needs 1 comma-separated numbers"),
     ],
 )
 def test_bad_spacing_step_or_path_count_is_rejected(capsys, argv, named):

@@ -1,6 +1,10 @@
 """Monte Carlo engines against exact-simulation and closed-form oracles."""
 
+import hashlib
+import itertools
 import os
+import sys
+import threading
 from itertools import product
 
 import numpy as np
@@ -147,6 +151,134 @@ def test_worker_count_cannot_change_the_sample(bm_interval):
     np.testing.assert_array_equal(a.terminal_states, b.terminal_states)
 
 
+# SHA-256 of exit times, censored flags and terminal states of the rect-2d
+# killed ensemble below, recorded before its normals were drawn ahead.
+RECT_ONE_SHARD_SHA256 = "181a26982291ee8fed600592ad0e533687dbc2b588a44fc54094731aba62a535"
+
+
+@pytest.fixture(scope="module")
+def rect_policy(rect_2d):
+    return policy_iteration(rect_2d, 1.0 / 32, mode="MAX")
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_one_shard_ensemble_keeps_its_pinned_bits(threads, rect_2d, rect_policy, monkeypatch):
+    # One shard and more than one worker: the shard's normals are drawn
+    # ahead on a helper thread, which must not move a bit.
+    monkeypatch.setenv(THREADS_ENV, threads)
+    tr = rect_policy
+    ens = simulate_killed(rect_2d, tr.final_policy, [0.5, 0.5], 1e-3, 0.7, SHARD, SEED, grid=tr.grid)
+    blob = hashlib.sha256()
+    for arr in (ens.exit_times, ens.censored, ens.terminal_states):
+        blob.update(arr.tobytes())
+    assert blob.hexdigest() == RECT_ONE_SHARD_SHA256
+
+
+def test_reweighting_sides_at_once_keep_every_bit(bm_interval, monkeypatch):
+    grid = build_grid(bm_interval, 1.0 / 32)
+    pair = principal_eigenpair(assemble_generator(grid, bm_interval, 0))
+
+    def middle(points):
+        return ((points[:, 0] > 0.25) & (points[:, 0] < 0.75)).astype(float)
+
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        reports.append(mc_girsanov_check(
+            bm_interval, grid, 0, pair, middle, t=0.3, x0=[0.5], n_killed=4_000, n_qpaths=256,
+            seed=SEED, dt=1e-3, dt_q=1e-3,
+        ))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("counts", [[1000], [1, 999], [300, 1, 699], [7] * 142 + [6]])
+def test_normals_do_not_depend_on_how_the_draws_are_split(counts):
+    whole = philox(SEED, 3).standard_normal(sum(counts))
+    rng = philox(SEED, 3)
+    np.testing.assert_array_equal(np.concatenate([rng.standard_normal(c) for c in counts]), whole)
+
+
+def test_drawn_ahead_normals_are_the_generator_s_own():
+    # Four feeds at once, more than the cores, with frequent thread switches:
+    # each must still hand out its own stream's values in order.
+    counts = [5, mc.DRAW_BLOCK - 5, 3 * mc.DRAW_BLOCK + 11, 1, 2 * mc.DRAW_BLOCK]
+    drawn = {}
+
+    def consume(stream):
+        with mc._normals(philox(SEED, stream), ahead=True) as draw:
+            drawn[stream] = np.concatenate([draw(c) for c in counts])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumers = [threading.Thread(target=consume, args=(stream,)) for stream in range(4)]
+        for t in consumers:
+            t.start()
+        for t in consumers:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for stream in range(4):
+        np.testing.assert_array_equal(drawn[stream], philox(SEED, stream).standard_normal(sum(counts)))
+
+
+def test_a_failed_draw_ahead_raises_in_the_step_loop():
+    class Failing:
+        def standard_normal(self, size):
+            raise MemoryError("no room for the block")
+
+    before = threading.enumerate()
+    with pytest.raises(MemoryError, match="no room"):
+        with mc._normals(Failing(), ahead=True) as draw:
+            draw(10)
+    assert threading.enumerate() == before
+
+
+def _counting_thread_starts(monkeypatch) -> list:
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+@pytest.mark.parametrize("threads, helpers", [("1", 0), ("2", 1)])
+def test_no_helper_thread_outlives_a_run(threads, helpers, rect_2d, rect_policy, monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, threads)
+    tr = rect_policy
+    args = (rect_2d, tr.final_policy, [0.5, 0.5], 1e-3, 0.05, 2_000, SEED)
+    before = threading.enumerate()
+    started = _counting_thread_starts(monkeypatch)
+    simulate_killed(*args, grid=tr.grid)
+    assert len(started) == helpers
+    assert threading.enumerate() == before
+
+    # A drift that fails at step 5 stops the loop; the helper is still joined.
+    coefficients = mc._coefficients
+
+    def failing(problem, policy, grid):
+        drift, sigma = coefficients(problem, policy, grid)
+        steps = itertools.count(1)
+
+        def drift_until_step_5(x, near=None):
+            if next(steps) == 5:
+                raise RuntimeError("drift fails at step 5")
+            return drift(x, near)
+
+        return drift_until_step_5, sigma
+
+    monkeypatch.setattr(mc, "_coefficients", failing)
+    with pytest.raises(RuntimeError, match="step 5"):
+        simulate_killed(*args, grid=tr.grid)
+    assert len(started) == 2 * helpers
+    assert threading.enumerate() == before
+
+
 def test_seed_controls_the_sample(bm_interval):
     a = simulate_killed(bm_interval, 0, [0.5], dt=1e-3, T=0.1, n_paths=256, seed=1)
     b = simulate_killed(bm_interval, 0, [0.5], dt=1e-3, T=0.1, n_paths=256, seed=1)
@@ -290,6 +422,20 @@ def test_monte_carlo_check_returns_what_the_kernels_return(case, bm_interval, re
         prob, grid, policy, pair, middle, t=t, x0=x0, n_killed=n_killed, n_qpaths=n_qpaths,
         seed=SEED, dt=dt, dt_q=dt_q,
     )
+
+
+def test_monte_carlo_check_rejects_a_start_near_the_wall_before_simulating(bm_interval, monkeypatch):
+    trace = policy_iteration(bm_interval, 0.125, mode="MAX")
+    pair = trace.final_pair
+    calls = []
+    monkeypatch.setattr(mc, "simulate_killed", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match=r"two cells inside the box at h=0.125, in \(0.25, 0.75\)"):
+        monte_carlo_check(
+            bm_interval, trace.grid, 0, pair, np.full(trace.grid.n, 1.0 / trace.grid.n), [0.2], SEED,
+            killed=(1e-3, 0.5, 100), fit_window=(0.1, 0.4), confined=(1e-3, 0.5, 4),
+            reweight=(0.3, 100, 20, 1e-3, 1e-3),
+        )
+    assert calls == []
 
 
 def test_line_fit_matches_the_inline_formulas(rng):
