@@ -28,6 +28,7 @@ from .grid import assemble_generator, build_grid, default_spacing
 from .mc import check_confined_start, export_ensemble_csv, export_histogram_csv, monte_carlo_check
 from .problems import CATALOG, load_problem, problem_by_name, validate_problem
 from .qprocess import (
+    check_dense,
     doob_transform,
     export_measures_csv,
     girsanov_check,
@@ -130,8 +131,11 @@ def cmd_optimize(args: argparse.Namespace, prob, h: float):
 
 def cmd_qprocess(args: argparse.Namespace, prob, h: float):
     x0_point = _x0_point(args, prob)
-    trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol)
-    grid, gen, pair = trace.grid, trace.final_generator, trace.final_pair
+    grid = build_grid(prob, h)
+    # girsanov_check's dense exponentials cap n: refuse before solving anything.
+    check_dense(grid.n)
+    trace = policy_iteration(prob, h, mode=args.mode, tol=args.tol, grid=grid)
+    gen, pair = trace.final_generator, trace.final_pair
     model = doob_transform(gen, pair)
     mu, alpha = stationary_measures(gen, model, pair)
     _, rayleigh_rel = rayleigh_identity(grid, prob, trace.psi_log, mu, pair.lam)

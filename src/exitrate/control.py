@@ -9,7 +9,9 @@ in Psi.  Each sweep solves only Psi; the left eigenvector phi is solved once,
 on the converged sweep's LU, and the trace is returned only then.  Sweep
 generators are gathered row by row from the constant-action generators, which
 a caller's grid keeps, keyed by the problem, with the start policy's solve.
-An exhaustive enumeration oracle checks small lattices.
+On a 2-D mesh below the default spacing the sweeps start from the optimum
+at twice the spacing, the nested iteration of Howard's algorithm.  An
+exhaustive enumeration oracle checks small lattices.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy.sparse as sp
 from ._util import ordered_map, write_csv
 from .eigen import EigenPair, InverseIteration, principal_eigenpair
 from .errors import NoConvergence, TooLarge
-from .grid import Generator, Grid, assemble_generator, build_grid, gradient_cost
+from .grid import Generator, Grid, assemble_generator, build_grid, default_spacing, gradient_cost
 
 ENUMERATION_CAP = 2**20
 ENUMERATION_CHUNK = 4096
@@ -149,23 +151,78 @@ def policy_iteration(
     G_v - diag(q) instead; the improvement rule is unchanged since the
     potential adds the same -q(x) to every action's score.
 
-    A caller's grid keeps the generators and, without a potential, the start
-    policy's right solve for the next trace; a grid built here keeps nothing.
+    On a 2-D grid below the default spacing, without a potential, the sweeps
+    start from the optimum at 2h carried to the nodes (_nested_start); every
+    other grid starts cold, from the constant action 0.  trace.steps holds
+    only this grid's sweeps.  A caller's grid keeps the generators and, after
+    a cold start without a potential, the start policy's right solve for the
+    next trace; a grid built here keeps nothing.
     """
     keep = grid is not None
     if grid is None:
         grid = build_grid(problem, h)
+    start = None if potential is not None else _nested_start(problem, grid, mode, tol, grid.h)
+    steps, policy, solver, gen = _sweeps(problem, grid, mode, tol, keep, potential, start)
+    return PolicyIterationTrace(mode, steps, grid, policy, solver.left(), gen)
+
+
+def _mesh(h: float) -> str:
+    return f"1/{round(1.0 / h)}" if 1.0 / h == round(1.0 / h) else f"{h:g}"
+
+
+def _coarser(problem, grid: Grid) -> Grid | None:
+    """The grid at 2h that grid nests on, or None.
+
+    Only a 2-D grid on the problem's own box nests, and only when 2h is at
+    most the default spacing and halves every side's cell count.  In 1-D the
+    tridiagonal LU leaves no factorisation work for a warm start to save.
+    """
+    h = 2.0 * grid.h
+    if grid.d != 2 or h > default_spacing(problem):
+        return None
+    if not (np.array_equal(grid.lo, problem.lo) and np.array_equal(grid.hi, problem.hi)):
+        return None
+    if any((size + 1) % 2 or size < 3 for size in grid.dims):
+        return None
+    return build_grid(problem, h)
+
+
+def _nested_start(problem, grid: Grid, mode: str, tol: float, target: float) -> np.ndarray | None:
+    """The optimum at 2h, carried to grid's nodes by nearest node; None starts cold.
+
+    The 2h level starts the same way from 4h, down to the first mesh that
+    does not nest.  Coarse levels keep nothing and skip the left solve.  A
+    coarse failure names its mesh and the mesh `target` it was the start of.
+    """
+    coarse = _coarser(problem, grid)
+    if coarse is None:
+        return None
+    start = _nested_start(problem, coarse, mode, tol, target)
+    try:
+        policy = _sweeps(problem, coarse, mode, tol, False, None, start)[1]
+    except NoConvergence as exc:
+        raise NoConvergence(f"while solving h={_mesh(coarse.h)} as the start of h={_mesh(target)}: {exc}") from exc
+    return policy[coarse.nearest_index(grid.nodes)]
+
+
+def _sweeps(
+    problem, grid: Grid, mode: str, tol: float, keep: bool, potential: np.ndarray | None, start: np.ndarray | None
+) -> tuple[tuple[PolicyIterationStep, ...], np.ndarray, InverseIteration, Generator]:
+    """Sweeps from start, or cold from the constant action 0, to the fixed point.
+
+    Returns the steps, the fixed policy, its solver after right() and its generator.
+    """
     actions = action_generators(grid, problem, keep)
     matrices = [a.matrix for a in actions]
     steps: list[PolicyIterationStep] = []
-    v = np.zeros(grid.n, dtype=int)
+    v = np.zeros(grid.n, dtype=int) if start is None else start
     seen: dict[tuple[int, ...], float] = {}
     prev: tuple[int, ...] | None = None
     for sweep in range(1, MAX_SWEEPS + 1):
         key = tuple(v.tolist())
-        # The first policy is the constant action 0.
-        gen = actions[0] if prev is None else _policy_generator(actions, v)
-        if prev is None and potential is None and keep:
+        cold = prev is None and start is None
+        gen = actions[0] if cold else _policy_generator(actions, v)
+        if cold and potential is None and keep:
             # Each trace gets a copy, so its left() cannot move the LU of the next.
             if (problem, tol) not in grid.shared:
                 grid.shared[problem, tol] = InverseIteration(gen, tol=tol).right()
@@ -179,7 +236,7 @@ def policy_iteration(
         v_new = policy_improve(matrices, solver.psi, mode, current=v, slack=100.0 * tol)
         new_key = tuple(v_new.tolist())
         if new_key == key:
-            return PolicyIterationTrace(mode, tuple(steps), grid, v, solver.left(), gen)
+            return tuple(steps), v, solver, gen
         if new_key in seen:
             raise NoConvergence(
                 f"policy iteration entered a cycle at sweep {sweep}: the policy at lambda "

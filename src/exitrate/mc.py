@@ -655,8 +655,9 @@ def mc_girsanov_check(
     lhs = float(lhs_samples.mean())
     lhs_half = 1.96 * float(lhs_samples.std(ddof=1)) / np.sqrt(n_killed)
 
-    psi_end = interpolate_field(grid, psi_log, occ.terminal_states)
-    psi0 = float(interpolate_field(grid, psi_log, x0[None, :])[0])
+    # One interpolation of the terminal states with x0 last; each row blends alone.
+    psi_end = interpolate_field(grid, psi_log, np.vstack([occ.terminal_states, x0]))
+    psi_end, psi0 = psi_end[:-1], float(psi_end[-1])
     weight = np.exp(-pair.lam * t + psi0)
     rhs_samples = weight * g(occ.terminal_states) * np.exp(-psi_end)
     rhs = float(rhs_samples.mean())

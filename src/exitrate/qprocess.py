@@ -158,10 +158,14 @@ def rayleigh_identity(
     return lam_hat, abs(lam_hat - lam) / abs(lam)
 
 
-def _dense(mat: sp.spmatrix) -> np.ndarray:
-    n = mat.shape[0]
+def check_dense(n: int) -> None:
+    """Raise TooLargeForDense beyond DENSE_CAP nodes."""
     if n > DENSE_CAP:
         raise TooLargeForDense(f"dense path capped at n={DENSE_CAP}, got {n}")
+
+
+def _dense(mat: sp.spmatrix) -> np.ndarray:
+    check_dense(mat.shape[0])
     return mat.toarray()
 
 

@@ -9,6 +9,7 @@ worker counts so that two runs with the same seed are byte-identical.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 import time
@@ -430,7 +431,10 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
             continue
         seen.add(key)
         if pair is None:
-            pair = principal_eigenpair(gen, tol=tol)
+            # A cold trace kept the right solve of the constant action 0; its
+            # left side, on a copy, has principal_eigenpair's bits.
+            kept = None if any(key) else grid.shared.get((prob, tol))
+            pair = principal_eigenpair(gen, tol=tol) if kept is None else copy.copy(kept).left()
         v_log, v_psi = both_forms(gen, pair)
         log_vals.append(v_log)
         psi_vals.append(v_psi)

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from exitrate import cli, eigen, verify
 from exitrate.cli import build_parser, main
-from exitrate.problems import problem_by_name, save_problem
+from exitrate.problems import problem_by_name, save_problem, validate_problem
 
 
 def _run_json(capsys, argv):
@@ -172,6 +173,32 @@ def test_representations_agree(capsys):
     assert rep["lam_star"] == pytest.approx(np.pi ** 2 / 2, abs=5e-3)
 
 
+def test_representations_take_the_constant_start_from_the_kept_solve(monkeypatch):
+    # The traces' kept right solve of the constant action 0 serves the family
+    # member too; without it, principal_eigenpair gives the same bits.
+    prob, h = validate_problem(problem_by_name("bang-bang")), 1 / 64
+    rights = []
+    real_right = eigen.InverseIteration.right
+    monkeypatch.setattr(eigen.InverseIteration, "right", lambda self: rights.append(self) or real_right(self))
+    grid = verify.build_grid(prob, h)
+    traces = [verify.policy_iteration(prob, h, mode=mode, grid=grid) for mode in ("MAX", "MIN")]
+    assert all(any(tr.final_policy) and not all(tr.final_policy) for tr in traces)
+    in_traces = len(rights)
+    del rights[:]
+    kept = verify.four_representations(prob, h)
+    # One right solve for the constant action 1, none for the constant action 0.
+    assert len(rights) == in_traces + 1
+    real_pi = verify.policy_iteration
+
+    def forgetful(*args, grid, **kwargs):
+        trace = real_pi(*args, grid=grid, **kwargs)
+        grid.shared.pop((prob, kwargs["tol"]), None)
+        return trace
+
+    monkeypatch.setattr(verify, "policy_iteration", forgetful)
+    assert json.dumps(verify.four_representations(prob, h)) == json.dumps(kept)
+
+
 def test_problem_file_round_trip(tmp_path, capsys):
     path = tmp_path / "custom.json"
     save_problem(problem_by_name("drift-interval", c=1.5), str(path))
@@ -288,6 +315,15 @@ def test_dropped_flags_are_rejected(argv):
 def test_qprocess_beyond_the_dense_cap_fails_cleanly(capsys):
     rc = main(["qprocess", "--problem", "rect-2d", "--h", "0.015625"])
     assert rc == 1
+    assert capsys.readouterr().err == "error: dense path capped at n=2000, got 3969\n"
+
+
+def test_qprocess_refuses_the_dense_cap_before_policy_iteration(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("policy iteration ran before the dense cap check")
+
+    monkeypatch.setattr(cli, "policy_iteration", forbidden)
+    assert main(["qprocess", "--problem", "rect-2d", "--h", "0.015625"]) == 1
     assert capsys.readouterr().err == "error: dense path capped at n=2000, got 3969\n"
 
 

@@ -388,3 +388,78 @@ def test_max_and_min_share_the_start_solve(bm_interval, monkeypatch):
     assert len(solvers["left"]) == 2 and kept not in solvers["left"]
     assert solvers["left"][0] is not solvers["left"][1]
     assert not hasattr(kept, "mat_t")
+
+
+def _cold_plain_loop(problem, h, mode, tol=1e-10):
+    """Policy iteration written out from the constant action 0, with no nesting
+    and no shared set-up: (policy, lambda, psi, constant-action matrices)."""
+    grid = build_grid(problem, h)
+    gens = _action_generators(grid, problem)
+    v = np.zeros(grid.n, dtype=int)
+    while True:
+        solver = eigen.InverseIteration(assemble_generator(grid, problem, v), tol).right()
+        new = policy_improve(gens, solver.psi, mode, current=v, slack=100.0 * tol)
+        if np.array_equal(new, v):
+            return v, solver.lam, solver.psi, gens
+        v = new
+
+
+@pytest.mark.parametrize("k", [64, 128])
+@pytest.mark.parametrize("mode", ["MAX", "MIN"])
+def test_nested_meshes_reach_the_cold_optimum(rect_2d, k, mode):
+    tol = 1e-10
+    trace = policy_iteration(rect_2d, 1 / k, mode=mode, tol=tol)
+    policy, lam, psi, gens = _cold_plain_loop(rect_2d, 1 / k, mode, tol)
+    assert abs(trace.lam - lam) <= tol * max(1.0, lam)
+    # Nesting may end at another tied optimum: the policies may differ only
+    # where the cold psi scores both actions within the improvement slack.
+    scores = np.column_stack([(g @ psi) / psi for g in gens])
+    rows = np.flatnonzero(trace.final_policy != policy)
+    ours, cold = scores[rows, trace.final_policy[rows]], scores[rows, policy[rows]]
+    assert np.all(np.abs(ours - cold) <= 100.0 * tol * np.maximum(1.0, np.abs(cold)))
+    # One monotone run from the 2h optimum, carried by nearest node.
+    lams = [s.lam for s in trace.steps]
+    sign = 1.0 if mode == "MAX" else -1.0
+    assert all(sign * (b - a) <= 1e-12 for a, b in zip(lams, lams[1:]))
+    coarse = policy_iteration(rect_2d, 2 / k, mode=mode, tol=tol)
+    carried = coarse.final_policy[coarse.grid.nearest_index(trace.grid.nodes)]
+    assert trace.steps[0].policy == tuple(carried.tolist())
+    assert len(trace.steps) < 4
+
+
+def test_a_nested_trace_keeps_no_start_solve_on_a_caller_grid(rect_2d):
+    grid = build_grid(rect_2d, 1 / 64)
+    shared = policy_iteration(rect_2d, 1 / 64, mode="MAX", grid=grid)
+    assert set(grid.shared) == {rect_2d}
+    assert len(grid.shared[rect_2d]) == rect_2d.n_actions
+    assert _same_trace(shared, policy_iteration(rect_2d, 1 / 64, mode="MAX"))
+
+
+@pytest.mark.parametrize(
+    "mode, lam_hex", [("MAX", "0x1.000040002570cp-1"), ("MIN", "0x1.4768f4f8b462cp+1")]
+)
+def test_one_dimensional_traces_below_the_default_spacing_start_cold(bang_bang, mode, lam_hex):
+    trace = policy_iteration(bang_bang, 1 / 256, mode=mode)
+    assert trace.lam.hex() == lam_hex
+    assert not any(trace.steps[0].policy)
+
+
+def test_a_mesh_whose_double_does_not_divide_the_box_starts_cold(rect_2d):
+    # 65 cells a side: 2h = 2/65 is below the default spacing but leaves half cells.
+    grid = build_grid(rect_2d, 1 / 65)
+    trace = policy_iteration(rect_2d, 1 / 65, mode="MAX", grid=grid)
+    assert not any(trace.steps[0].policy)
+    assert set(grid.shared) == {rect_2d, (rect_2d, 1e-10)}
+
+
+def test_a_coarse_failure_names_its_mesh_and_the_mesh_it_starts(rect_2d, bang_bang, monkeypatch):
+    monkeypatch.setattr(eigen, "MAX_ITER", 3)
+    with pytest.raises(NoConvergence) as err:
+        policy_iteration(rect_2d, 1 / 128, mode="MAX")
+    cause = err.value.__cause__
+    assert isinstance(cause, NoConvergence)
+    assert str(err.value) == f"while solving h=1/32 as the start of h=1/128: {cause}"
+    assert str(cause).startswith("right inverse iteration stopped after 3 iterations (MAX_ITER=3 reached)")
+    # A 1-D mesh has no coarse level: its failure is the solver's own.
+    with pytest.raises(NoConvergence, match=r"^right inverse iteration stopped after 3 iterations"):
+        policy_iteration(bang_bang, 1 / 256, mode="MAX")
