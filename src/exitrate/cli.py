@@ -20,17 +20,16 @@ import sys
 
 import numpy as np
 
-from ._util import dump_json, jsonable, philox
+from ._util import dump_json, jsonable, philox, write_csv
 from .control import policy_iteration, export_trace_csv
-from .eigen import principal_eigenpair, export_eigen_csv
+from .eigen import principal_eigenpair
 from .errors import ExitRateError
-from .grid import assemble_generator, build_grid, default_spacing
-from .mc import check_confined_start, export_ensemble_csv, export_histogram_csv, monte_carlo_check
+from .grid import Grid, assemble_generator, build_grid, default_spacing
+from .mc import check_confined_start, export_ensemble_csv, monte_carlo_check
 from .problems import CATALOG, load_problem, problem_by_name, validate_problem
 from .qprocess import (
     check_dense,
     doob_transform,
-    export_measures_csv,
     girsanov_check,
     lyapunov_certificate,
     rayleigh_identity,
@@ -97,7 +96,15 @@ def _x0_point(args, prob) -> list[float]:
     return vals
 
 
+def _per_node(grid: Grid, columns: dict[str, np.ndarray]):
+    """A CSV file writer: one row per node, its coordinates x1.. then the named columns."""
+    header = [f"x{k + 1}" for k in range(grid.d)] + list(columns)
+    return lambda path: write_csv(path, header, np.column_stack([grid.nodes, *columns.values()]))
+
+
 def cmd_solve(args: argparse.Namespace, prob, h: float):
+    if not 0 <= args.action < prob.n_actions:
+        raise ExitRateError(f"--action {args.action} needs an action index of {prob.name} in 0..{prob.n_actions - 1}")
     grid = build_grid(prob, h)
     gen = assemble_generator(grid, prob, args.action)
     pair = principal_eigenpair(gen, tol=args.tol)
@@ -109,7 +116,7 @@ def cmd_solve(args: argparse.Namespace, prob, h: float):
         "iterations": pair.iterations,
         "n_nodes": grid.n,
     }
-    return report, {"eigenpair.csv": lambda path: export_eigen_csv(grid, pair, path)}
+    return report, {"eigenpair.csv": _per_node(grid, {"psi": pair.psi, "phi": pair.phi})}
 
 
 def cmd_optimize(args: argparse.Namespace, prob, h: float):
@@ -125,7 +132,7 @@ def cmd_optimize(args: argparse.Namespace, prob, h: float):
     }
     return report, {
         "trace.csv": lambda path: export_trace_csv(trace, path),
-        "eigenpair.csv": lambda path: export_eigen_csv(trace.grid, trace.final_pair, path),
+        "eigenpair.csv": _per_node(trace.grid, {"psi": trace.final_pair.psi, "phi": trace.final_pair.phi}),
     }
 
 
@@ -159,7 +166,8 @@ def cmd_qprocess(args: argparse.Namespace, prob, h: float):
         },
         "certificate": {"rho": cert.rho, "C": cert.C, "eps": cert.eps},
     }
-    return report, {"measures.csv": lambda path: export_measures_csv(grid, mu, alpha, pair, path, V=cert.V)}
+    columns = {"mu_tilde": mu, "alpha": alpha, "psi": pair.psi, "phi": pair.phi, "V": cert.V}
+    return report, {"measures.csv": _per_node(grid, columns)}
 
 
 def cmd_variational(args: argparse.Namespace, prob, h: float):
@@ -210,7 +218,7 @@ def cmd_simulate(args: argparse.Namespace, prob, h: float):
     }
     return report, {
         "ensemble.csv": lambda path: export_ensemble_csv(ens, path),
-        "occupancy.csv": lambda path: export_histogram_csv(grid, occ.histogram, path),
+        "occupancy.csv": _per_node(grid, {"mass": occ.histogram}),
     }
 
 

@@ -154,13 +154,16 @@ def policy_iteration(
     On a 2-D grid below the default spacing, without a potential, the sweeps
     start from the optimum at 2h carried to the nodes (_nested_start); every
     other grid starts cold, from the constant action 0.  trace.steps holds
-    only this grid's sweeps.  A caller's grid keeps the generators and, after
-    a cold start without a potential, the start policy's right solve for the
-    next trace; a grid built here keeps nothing.
+    only this grid's sweeps.  A caller's grid, which must have spacing h,
+    keeps the generators and, after a cold start without a potential, the
+    start policy's right solve for the next trace; a grid built here keeps
+    nothing.
     """
     keep = grid is not None
     if grid is None:
         grid = build_grid(problem, h)
+    elif grid.h != h:
+        raise ValueError(f"policy_iteration at h={h!r} was given a grid of spacing h={grid.h!r}")
     start = None if potential is not None else _nested_start(problem, grid, mode, tol, grid.h)
     steps, policy, solver, gen = _sweeps(problem, grid, mode, tol, keep, potential, start)
     return PolicyIterationTrace(mode, steps, grid, policy, solver.left(), gen)

@@ -27,7 +27,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from ._util import write_csv
 from .errors import NoConvergence, NonPositiveEigenvector
 from .grid import Generator, as_matrix
 
@@ -188,12 +187,3 @@ class InverseIteration:
 def principal_eigenpair(g: Generator | sp.spmatrix, tol: float = 1e-10) -> EigenPair:
     """Positive right/left principal eigenpair by shifted inverse iteration."""
     return InverseIteration(g, tol).right().left()
-
-
-def export_eigen_csv(grid, pair: EigenPair, path: str) -> None:
-    coords = [f"x{k + 1}" for k in range(grid.d)]
-    rows = (
-        list(grid.nodes[i]) + [pair.psi[i], pair.phi[i]]
-        for i in range(grid.n)
-    )
-    write_csv(path, coords + ["psi", "phi"], rows)

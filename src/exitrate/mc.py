@@ -712,9 +712,3 @@ def export_ensemble_csv(ensemble: TrajectoryEnsemble, path: str) -> None:
         for i in range(ensemble.n_paths)
     ]
     write_csv(path, header, rows)
-
-
-def export_histogram_csv(grid: Grid, histogram: np.ndarray, path: str) -> None:
-    header = [f"x{k + 1}" for k in range(grid.d)] + ["mass"]
-    rows = [list(grid.nodes[i]) + [histogram[i]] for i in range(grid.n)]
-    write_csv(path, header, rows)

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
-from ._util import line_fit, philox, write_csv
+from ._util import line_fit, philox
 from .control import policy_iteration
 from .eigen import PERMC_SPEC, EigenPair, InverseIteration, check_irreducible
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
@@ -398,12 +398,6 @@ def _embed_indices(inner: Grid, outer: Grid, h: float) -> np.ndarray:
     return np.ravel_multi_index(outer_multis, outer.dims)
 
 
-def _extend_policy(inner: Grid, outer: Grid, policy: np.ndarray) -> np.ndarray:
-    """Nearest-interior-node extension of a policy to the enlarged grid."""
-    clipped = np.clip(outer.nodes, inner.lo + inner.h, inner.hi - inner.h)
-    return policy[inner.nearest_index(clipped)]
-
-
 def _scan_certificate(
     q: np.ndarray, v: np.ndarray, dist: np.ndarray, h: float, min_eps_steps: int = 1
 ) -> tuple[float, float, np.ndarray, float]:
@@ -453,8 +447,8 @@ def lyapunov_certificate(
     model = doob_transform(gen, pair)
 
     grid2, spec2 = _enlarged_grid(problem, h)
-    pol_arr = _policy_array(grid, problem, policy)
-    pol2 = _extend_policy(grid, grid2, pol_arr)
+    # Each enlarged-box node takes the action of its nearest node in the box.
+    pol2 = _policy_array(grid, problem, policy)[grid.nearest_index(grid2.nodes)]
     gen2 = assemble_generator(grid2, spec2, pol2)
 
     center = 0.5 * (problem.lo + problem.hi)
@@ -572,16 +566,3 @@ def verify_uniform_ergodicity(
         "slack_bound_ch": slack_scale,
         "all_policies_hold": bool(all(p["holds_with_ch"] for p in per_policy)),
     }
-
-
-def export_measures_csv(
-    grid: Grid, mu: np.ndarray, alpha: np.ndarray, pair: EigenPair, path: str, V: np.ndarray | None = None
-) -> None:
-    """Per node: mu_tilde and alpha (as `stationary_measures` returns them), psi, phi, and V when given."""
-    coords = [f"x{k + 1}" for k in range(grid.d)]
-    header = coords + ["mu_tilde", "alpha", "psi", "phi"] + (["V"] if V is not None else [])
-    rows = (
-        list(grid.nodes[i]) + [mu[i], alpha[i], pair.psi[i], pair.phi[i]] + ([V[i]] if V is not None else [])
-        for i in range(grid.n)
-    )
-    write_csv(path, header, rows)

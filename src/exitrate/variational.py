@@ -25,7 +25,7 @@ from scipy.sparse.linalg import splu
 from .control import MAX_SWEEPS, PolicyIterationTrace, action_generators, policy_iteration
 from .eigen import PERMC_SPEC
 from .errors import Infeasible, NoConvergence, TooLarge
-from .grid import Generator, Grid, _policy_array, build_grid, discrete_gradient
+from .grid import Grid, _policy_array, build_grid, discrete_gradient
 from .qprocess import doob_transform, null_vector, probability_vector, stationary_measures
 from ._util import write_csv
 
@@ -45,24 +45,13 @@ class Candidate:
     """A solved policy whose log-eigenfunction seeds drift tilts."""
 
     name: str
-    policy: np.ndarray
     psi_log: np.ndarray
-    lam: float
-    generator: Generator
     grad: np.ndarray
 
 
 def candidate_from_trace(name: str, trace: PolicyIterationTrace) -> Candidate:
-    grid = trace.grid
     psi_log = trace.psi_log
-    return Candidate(
-        name=name,
-        policy=np.asarray(trace.final_policy, dtype=np.int64),
-        psi_log=psi_log,
-        lam=trace.final_pair.lam,
-        generator=trace.final_generator,
-        grad=discrete_gradient(grid, psi_log, extension="log-zero"),
-    )
+    return Candidate(name, psi_log, discrete_gradient(trace.grid, psi_log, extension="log-zero"))
 
 
 @dataclass(frozen=True)

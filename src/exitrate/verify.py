@@ -9,7 +9,6 @@ worker counts so that two runs with the same seed are byte-identical.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import os
 import time
@@ -417,7 +416,7 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
     if prob.n_actions > 1:  # with one action MIN repeats MAX
         traces.append(policy_iteration(prob, h, mode="MIN", tol=tol, grid=grid))
     # The traces already hold each optimum's generator and pair at this tol;
-    # the constant-action policies, on the grid's shared generators, are solved here.
+    # each constant-action policy not among them is solved here.
     family = [(tr.final_policy, tr.final_generator, tr.final_pair) for tr in traces]
     gens = action_generators(grid, prob)
     family += [(np.full(grid.n, u, dtype=int), gens[u], None) for u in range(prob.n_actions)]
@@ -431,10 +430,7 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
             continue
         seen.add(key)
         if pair is None:
-            # A cold trace kept the right solve of the constant action 0; its
-            # left side, on a copy, has principal_eigenpair's bits.
-            kept = None if any(key) else grid.shared.get((prob, tol))
-            pair = principal_eigenpair(gen, tol=tol) if kept is None else copy.copy(kept).left()
+            pair = principal_eigenpair(gen, tol=tol)
         v_log, v_psi = both_forms(gen, pair)
         log_vals.append(v_log)
         psi_vals.append(v_psi)

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from exitrate import cli, eigen, verify
+from exitrate import cli, verify
 from exitrate.cli import build_parser, main
+from exitrate.grid import build_grid
 from exitrate.problems import problem_by_name, save_problem, validate_problem
 
 
@@ -121,6 +122,8 @@ def test_variational_solves_rect_2d_at_an_eighth(capsys):
         ),
         (["qprocess", "--x0", "abc"], "--x0 abc needs 1 comma-separated numbers"),
         (["simulate", "--h", "0.125", "--x0", "0.5,x"], "--x0 0.5,x needs 1 comma-separated numbers"),
+        (["solve", "--action", "5"], "--action 5 needs an action index of bm-interval in 0..0"),
+        (["solve", "--action", "-1"], "--action -1 needs an action index of bm-interval in 0..0"),
     ],
 )
 def test_bad_spacing_step_or_path_count_is_rejected(capsys, argv, named):
@@ -157,6 +160,63 @@ def test_simulate_smoke(tmp_path):
     assert (out / "occupancy.csv").exists()
 
 
+def _spy(monkeypatch, name):
+    """Record what the library function `name`, as cli calls it, returns."""
+    results = []
+    real = getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return results
+
+
+def _assert_node_table(path, prob, h, columns):
+    """One row per node of build_grid(prob, h): x1.. then columns, each parsing back bit-equal."""
+    nodes = build_grid(prob, h).nodes
+    names = [f"x{k + 1}" for k in range(nodes.shape[1])] + list(columns)
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(names)
+    table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert table.shape == (len(nodes), len(names))
+    for k, col in enumerate([*nodes.T, *columns.values()]):
+        assert table[:, k].tobytes() == np.asarray(col, dtype=float).tobytes(), names[k]
+
+
+def test_solve_table_holds_the_eigenpair(tmp_path, monkeypatch, rect_2d):
+    pairs = _spy(monkeypatch, "principal_eigenpair")
+    assert main(["solve", "--problem", "rect-2d", "--h", "0.125", "--out", str(tmp_path)]) == 0
+    (pair,) = pairs
+    _assert_node_table(tmp_path / "eigenpair.csv", rect_2d, 0.125, {"psi": pair.psi, "phi": pair.phi})
+
+
+def test_optimize_table_holds_the_optimal_eigenpair(tmp_path, monkeypatch, bang_bang):
+    traces = _spy(monkeypatch, "policy_iteration")
+    assert main(["optimize", "--problem", "bang-bang", "--h", "0.125", "--out", str(tmp_path)]) == 0
+    pair = traces[0].final_pair
+    _assert_node_table(tmp_path / "eigenpair.csv", bang_bang, 0.125, {"psi": pair.psi, "phi": pair.phi})
+
+
+def test_qprocess_table_holds_the_measures_and_the_lyapunov_function(tmp_path, monkeypatch, bang_bang):
+    traces = _spy(monkeypatch, "policy_iteration")
+    measures = _spy(monkeypatch, "stationary_measures")
+    certs = _spy(monkeypatch, "lyapunov_certificate")
+    assert main(["qprocess", "--problem", "bang-bang", "--h", "0.0625", "--out", str(tmp_path)]) == 0
+    (mu, alpha), pair = measures[0], traces[0].final_pair
+    columns = {"mu_tilde": mu, "alpha": alpha, "psi": pair.psi, "phi": pair.phi, "V": certs[0].V}
+    _assert_node_table(tmp_path / "measures.csv", bang_bang, 0.0625, columns)
+
+
+def test_simulate_table_holds_the_confined_occupancy(tmp_path, monkeypatch, bm_interval):
+    checks = _spy(monkeypatch, "monte_carlo_check")
+    argv = ["simulate", "--h", "0.125", "--paths", "2000", "--dt", "0.002", "--T", "0.8", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    occ = checks[0][2]
+    _assert_node_table(tmp_path / "occupancy.csv", bm_interval, 0.125, {"mass": occ.histogram})
+
+
 def test_representations_agree(capsys):
     rc, rep = _run_json(
         capsys, ["representations", "--problem", "bm-interval", "--h", "0.015625"]
@@ -173,21 +233,11 @@ def test_representations_agree(capsys):
     assert rep["lam_star"] == pytest.approx(np.pi ** 2 / 2, abs=5e-3)
 
 
-def test_representations_take_the_constant_start_from_the_kept_solve(monkeypatch):
-    # The traces' kept right solve of the constant action 0 serves the family
-    # member too; without it, principal_eigenpair gives the same bits.
+def test_representations_keep_their_bytes_without_a_kept_solve(monkeypatch):
+    # The MAX and MIN traces share the grid's right solve of the constant
+    # action 0; when each trace solves it afresh, the report keeps its bytes.
     prob, h = validate_problem(problem_by_name("bang-bang")), 1 / 64
-    rights = []
-    real_right = eigen.InverseIteration.right
-    monkeypatch.setattr(eigen.InverseIteration, "right", lambda self: rights.append(self) or real_right(self))
-    grid = verify.build_grid(prob, h)
-    traces = [verify.policy_iteration(prob, h, mode=mode, grid=grid) for mode in ("MAX", "MIN")]
-    assert all(any(tr.final_policy) and not all(tr.final_policy) for tr in traces)
-    in_traces = len(rights)
-    del rights[:]
     kept = verify.four_representations(prob, h)
-    # One right solve for the constant action 1, none for the constant action 0.
-    assert len(rights) == in_traces + 1
     real_pi = verify.policy_iteration
 
     def forgetful(*args, grid, **kwargs):

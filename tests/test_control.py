@@ -355,6 +355,13 @@ def test_a_grid_built_by_policy_iteration_keeps_nothing(bang_bang):
     assert set(grid.shared) == {bang_bang, (bang_bang, 1e-10)}
 
 
+def test_a_caller_grid_of_another_spacing_is_rejected(bang_bang):
+    grid = build_grid(bang_bang, 1 / 8)
+    with pytest.raises(ValueError, match=r"at h=0\.0625 was given a grid of spacing h=0\.125"):
+        policy_iteration(bang_bang, 1 / 16, grid=grid)
+    assert grid.shared == {}
+
+
 def test_dropping_the_grid_and_traces_frees_the_shared_setup(bang_bang):
     # What the grid keeps holds no reference back to it, so plain reference
     # counting frees it: no cycle is left for the garbage collector.

@@ -27,7 +27,6 @@ from exitrate.mc import (
     TrajectoryEnsemble,
     estimate_exit_rate,
     export_ensemble_csv,
-    export_histogram_csv,
     interpolate_field,
     mc_girsanov_check,
     monte_carlo_check,
@@ -455,10 +454,6 @@ def test_csv_exports(tmp_path, bm_interval):
     lines = p1.read_text().splitlines()
     assert lines[0] == "path,exit_time,censored,x1"
     assert len(lines) == 33
-    grid = build_grid(bm_interval, 0.25)
-    p2 = tmp_path / "hist.csv"
-    export_histogram_csv(grid, np.array([0.25, 0.5, 0.25]), str(p2))
-    assert p2.read_text().splitlines()[0] == "x1,mass"
 
 
 # ---------------------------------------------------------------- oracles

@@ -18,7 +18,6 @@ from exitrate.qprocess import (
     DENSE_CAP,
     QProcessModel,
     doob_transform,
-    export_measures_csv,
     girsanov_check,
     lyapunov_certificate,
     null_vector,
@@ -416,15 +415,3 @@ def test_disconnected_transformed_chain_is_rejected():
     gen_matrix = (block - sp.identity(4)).tocsr()
     with pytest.raises(NullVectorNotUnique):
         stationary_measures(gen_matrix, model, _fake_pair(1.0, np.ones(4)))
-
-
-def test_measures_csv_export(tmp_path, three_node, bm_interval):
-    gen, pair = three_node
-    grid = build_grid(bm_interval, 0.25)
-    mu, alpha = stationary_measures(gen, doob_transform(gen, pair), pair)
-    path = tmp_path / "measures.csv"
-    export_measures_csv(grid, mu, alpha, pair, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x1,mu_tilde,alpha,psi,phi"
-    assert len(lines) == grid.n + 1
-    assert [float(v) for v in lines[2].split(",")[1:3]] == [mu[1], alpha[1]]

@@ -37,13 +37,17 @@ def assert_certificate(a_eq, b_eq, c, sol):
 
 
 @pytest.fixture(scope="module")
-def bang_bang_lp(bang_bang):
+def bang_bang_traces(bang_bang):
+    """The MAX and MIN traces at h=1/4, on one grid."""
     h = 0.25
     grid = build_grid(bang_bang, h)
-    cands = [
-        candidate_from_trace("max", policy_iteration(bang_bang, h, mode="MAX", grid=grid)),
-        candidate_from_trace("min", policy_iteration(bang_bang, h, mode="MIN", grid=grid)),
-    ]
+    return [policy_iteration(bang_bang, h, mode=mode, grid=grid) for mode in ("MAX", "MIN")]
+
+
+@pytest.fixture(scope="module")
+def bang_bang_lp(bang_bang, bang_bang_traces):
+    grid = bang_bang_traces[0].grid
+    cands = [candidate_from_trace(name, tr) for name, tr in zip(("max", "min"), bang_bang_traces)]
     w_grid = build_w_grid(grid, cands)
     lp = build_occupation_lp(grid, bang_bang, w_grid, cands)
     return grid, cands, lp, solve_lp(lp)
@@ -72,9 +76,9 @@ def test_single_node_value_is_the_kill_rate(bm_interval):
     assert sol.value == pytest.approx(4.0, abs=1e-12)
 
 
-def test_occupation_value_matches_the_optimal_rate(bang_bang, bang_bang_lp):
+def test_occupation_value_matches_the_optimal_rate(bang_bang_traces, bang_bang_lp):
     grid, cands, lp, sol = bang_bang_lp
-    lam_star = cands[0].lam
+    lam_star = bang_bang_traces[0].lam
     assert abs(sol.value - lam_star) / lam_star <= 1e-6
 
 
@@ -108,39 +112,42 @@ def test_sweep_cap_reports_where_the_iteration_stood(bang_bang_lp, monkeypatch):
         solve_lp(lp)
 
 
-def test_transform_point_weak_duality(bang_bang_lp):
+def test_transform_point_weak_duality(bang_bang_traces, bang_bang_lp):
     grid, cands, lp, sol = bang_bang_lp
-    tp = transform_point(lp, candidate=0, policy=cands[0].policy)
+    tp = transform_point(lp, candidate=0, policy=bang_bang_traces[0].final_policy)
     assert tp.stationarity_residual <= 1e-8
     assert tp.objective >= sol.value - 1e-9
     assert tp.objective == pytest.approx(sol.value, abs=1e-8)
 
 
-def test_wrong_mode_candidate_prices_strictly_higher(bang_bang_lp):
+def test_wrong_mode_candidate_prices_strictly_higher(bang_bang_traces, bang_bang_lp):
     grid, cands, lp, sol = bang_bang_lp
-    best = transform_point(lp, candidate=0, policy=cands[0].policy)
-    worst = transform_point(lp, candidate=1, policy=cands[1].policy)
+    tr_max, tr_min = bang_bang_traces
+    best = transform_point(lp, candidate=0, policy=tr_max.final_policy)
+    worst = transform_point(lp, candidate=1, policy=tr_min.final_policy)
     # The other fixed point prices its own (larger) rate.
-    assert worst.objective > best.objective + 0.5 * (cands[1].lam - cands[0].lam) - 1e-9
-    assert worst.objective == pytest.approx(cands[1].lam, rel=1e-6)
+    assert worst.objective > best.objective + 0.5 * (tr_min.lam - tr_max.lam) - 1e-9
+    assert worst.objective == pytest.approx(tr_min.lam, rel=1e-6)
 
 
-def test_minimizer_structure_checks_pass_at_the_solution(bang_bang, bang_bang_lp):
+def test_minimizer_structure_checks_pass_at_the_solution(bang_bang_traces, bang_bang_lp):
     grid, cands, lp, sol = bang_bang_lp
-    gen = cands[0].generator
+    trace = bang_bang_traces[0]
+    gen = trace.final_generator
     pair = principal_eigenpair(gen, tol=1e-12)
     model = doob_transform(gen, pair)
     mu, _ = stationary_measures(gen, model, pair)
-    report = verify_minimizer_structure(sol, mu, cands[0].policy, candidate=0)
+    report = verify_minimizer_structure(sol, mu, trace.final_policy, candidate=0)
     assert report["all_ok"]
     assert report["tv_to_mu_tilde"] <= 0.05
     assert report["mass_on_policy"] >= 0.95
     assert report["mass_on_nearest_w"] >= 0.95
 
 
-def test_spread_out_measure_fails_the_structure_checks(bang_bang, bang_bang_lp):
+def test_spread_out_measure_fails_the_structure_checks(bang_bang_traces, bang_bang_lp):
     grid, cands, lp, sol = bang_bang_lp
-    gen = cands[0].generator
+    trace = bang_bang_traces[0]
+    gen = trace.final_generator
     pair = principal_eigenpair(gen, tol=1e-12)
     model = doob_transform(gen, pair)
     mu, _ = stationary_measures(gen, model, pair)
@@ -148,7 +155,7 @@ def test_spread_out_measure_fails_the_structure_checks(bang_bang, bang_bang_lp):
 
     smeared = copy.copy(sol)
     smeared.pi = np.full(lp.n_variables, 1.0 / lp.n_variables)
-    report = verify_minimizer_structure(smeared, mu, cands[0].policy, candidate=0)
+    report = verify_minimizer_structure(smeared, mu, trace.final_policy, candidate=0)
     assert not report["all_ok"]
     assert report["mass_on_policy"] < 0.95
 
@@ -165,10 +172,7 @@ def test_fixed_policy_program_prices_that_policy(bang_bang):
 
     own = Candidate(
         name="own",
-        policy=policy,
         psi_log=np.log(pair.psi),
-        lam=pair.lam,
-        generator=gen,
         grad=discrete_gradient(grid, np.log(pair.psi), extension="log-zero"),
     )
     lp = build_occupation_lp(grid, bang_bang, build_w_grid(grid, [own]), [own], policy=policy)
