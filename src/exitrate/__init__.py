@@ -33,7 +33,7 @@ from .problems import (
     with_bounds,
 )
 from .grid import Grid, Generator, assemble_generator, build_grid, discrete_gradient
-from .eigen import EigenPair, cw_bounds, principal_eigenpair
+from .eigen import EigenPair, principal_eigenpair
 from .control import (
     PolicyIterationTrace,
     enumerate_policies,
@@ -82,7 +82,6 @@ __all__ = [
     "assemble_generator",
     "build_grid",
     "builtin_catalog",
-    "cw_bounds",
     "discrete_gradient",
     "doob_transform",
     "enumerate_policies",

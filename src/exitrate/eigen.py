@@ -58,16 +58,6 @@ class EigenPair:
     iterations: int
 
 
-def cw_bounds(g: Generator | sp.spmatrix, psi: np.ndarray) -> tuple[float, float]:
-    """Collatz-Wielandt bracket [min, max] of -(G psi)/psi for positive psi."""
-    mat = as_matrix(g)
-    psi = np.asarray(psi, dtype=float)
-    if np.any(psi <= 0):
-        raise NonPositiveEigenvector("cw_bounds requires a strictly positive test vector")
-    ratios = -(mat @ psi) / psi
-    return float(ratios.min()), float(ratios.max())
-
-
 def check_irreducible(mat: sp.csr_matrix, error: type[Exception], what: str) -> None:
     """Raise error unless the off-diagonal pattern of mat is strongly connected.
 

@@ -135,14 +135,18 @@ def _policy_array(grid: Grid, problem: ProblemSpec, policy: int | np.ndarray) ->
     return arr
 
 
+def drift_at(problem: ProblemSpec, points: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """(len(points), d) drift values m(x_i, actions[i]), one problem.drift call per action used."""
+    m = np.empty(points.shape, dtype=float)
+    for u in np.unique(actions):
+        mask = actions == u
+        m[mask] = problem.drift(points[mask], int(u))
+    return m
+
+
 def drift_under_policy(grid: Grid, problem: ProblemSpec, policy: int | np.ndarray) -> np.ndarray:
     """(n, d) drift values m(x, v(x)) at the grid nodes."""
-    assign = _policy_array(grid, problem, policy)
-    m = np.empty((grid.n, grid.d), dtype=float)
-    for k in np.unique(assign):
-        mask = assign == k
-        m[mask] = problem.drift(grid.nodes[mask], int(k))
-    return m
+    return drift_at(problem, grid.nodes, _policy_array(grid, problem, policy))
 
 
 def as_matrix(g: Generator | sp.spmatrix | np.ndarray) -> sp.csr_matrix:

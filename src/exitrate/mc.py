@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import TooFewSurvivors, TooLargeForDense
-from .grid import Generator, Grid, discrete_gradient
+from .grid import Generator, Grid, discrete_gradient, drift_at
 from .problems import _compiled
 from .qprocess import DENSE_CAP
 from ._util import line_fit, ordered_map, philox, worker_count, write_csv
@@ -113,14 +113,17 @@ def _coefficients(problem, policy: Union[int, np.ndarray], grid: Optional[Grid])
         return (lambda x, near=None: table.take(nodes(x, near), axis=0)), sigma
 
     def drift(x: np.ndarray, near: Optional[np.ndarray] = None) -> np.ndarray:
-        act = actions[nodes(x, near)]
-        out = np.empty_like(x)
-        for u in np.unique(act):
-            mask = act == u
-            out[mask] = problem.drift(x[mask], int(u))
-        return out
+        return drift_at(problem, x, actions[nodes(x, near)])
 
     return drift, sigma
+
+
+def _start_point(x0, d: int, what: str = "start point") -> np.ndarray:
+    """x0 as an array of d coordinates; otherwise a ValueError naming ``what``."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if x0.shape != (d,):
+        raise ValueError(f"{what} needs {d} coordinates, got {x0.size}")
+    return x0
 
 
 def _check_run(dt: float, T: float, n_paths: int) -> None:
@@ -225,9 +228,8 @@ def simulate_killed(
     """
 
     _check_run(dt, T, n_paths)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    lo = np.asarray(problem.lo)
-    hi = np.asarray(problem.hi)
+    x0 = _start_point(x0, problem.dim)
+    lo, hi = problem.lo, problem.hi
     if np.any(x0 <= lo) or np.any(x0 >= hi):
         raise ValueError("start point is not inside the domain")
     n_steps = int(round(T / dt))
@@ -416,13 +418,12 @@ class QOccupancy:
     n_paths: int
     dt: float
     horizon: float
-    seed: int
 
 
 def check_confined_start(grid: Grid, x0, what: str = "start point") -> np.ndarray:
     """x0 as an array, if it lies at least two cells inside every wall, as the
     conditioned process needs; otherwise a ValueError naming ``what``."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = _start_point(x0, grid.d, what)
     lo, hi = grid.lo + 2 * grid.h, grid.hi - 2 * grid.h
     if np.any(x0 <= lo) or np.any(x0 >= hi):
         box = " x ".join(f"({a:g}, {b:g})" for a, b in zip(lo, hi))
@@ -517,7 +518,6 @@ def simulate_qprocess(
         n_paths=n_paths,
         dt=dt,
         horizon=horizon,
-        seed=seed,
     )
 
 

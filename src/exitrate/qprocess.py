@@ -380,22 +380,9 @@ class LyapunovCertificate:
         return bool(np.all(lhs <= rhs + 1e-9 * max(1.0, float(np.abs(lhs).max()))))
 
 
-def _enlarged_grid(problem, h: float) -> tuple[Grid, object]:
-    lo, hi = problem.lo, problem.hi
-    new_bounds = []
-    for k in range(len(lo)):
-        ext = max(1, int(round(ENLARGEMENT * (hi[k] - lo[k]) / h))) * h
-        new_bounds.append((lo[k] - ext, hi[k] + ext))
-    spec2 = with_bounds(problem, new_bounds)
-    return build_grid(spec2, h), spec2
-
-
-def _embed_indices(inner: Grid, outer: Grid, h: float) -> np.ndarray:
-    """Outer-grid indices of the inner grid's nodes (lattices must align)."""
-    offsets = [int(round((inner.lo[k] - outer.lo[k]) / h)) for k in range(inner.d)]
-    multis = np.unravel_index(np.arange(inner.n), inner.dims)
-    outer_multis = tuple(multis[k] + offsets[k] for k in range(inner.d))
-    return np.ravel_multi_index(outer_multis, outer.dims)
+def _enlarged_grid(problem, h: float) -> Grid:
+    ext = np.maximum(1.0, np.round(ENLARGEMENT * (problem.hi - problem.lo) / h)) * h
+    return build_grid(with_bounds(problem, zip(problem.lo - ext, problem.hi + ext)), h)
 
 
 def _scan_certificate(
@@ -446,10 +433,10 @@ def lyapunov_certificate(
     pair = InverseIteration(gen, tol=tol).right()
     model = doob_transform(gen, pair)
 
-    grid2, spec2 = _enlarged_grid(problem, h)
+    grid2 = _enlarged_grid(problem, h)
     # Each enlarged-box node takes the action of its nearest node in the box.
     pol2 = _policy_array(grid, problem, policy)[grid.nearest_index(grid2.nodes)]
-    gen2 = assemble_generator(grid2, spec2, pol2)
+    gen2 = assemble_generator(grid2, problem, pol2)
 
     center = 0.5 * (problem.lo + problem.hi)
     radius = BALL_RADIUS_FRAC * float(np.min(problem.hi - problem.lo))
@@ -459,7 +446,7 @@ def lyapunov_certificate(
     mat2 = gen2.matrix - sp.diags(b_mask2.astype(float))
     pair2 = InverseIteration(mat2, tol=tol).right()
 
-    phi_on_d = pair2.psi[_embed_indices(grid, grid2, h)]
+    phi_on_d = pair2.psi[grid2.nearest_index(grid.nodes)]
     v_field = phi_on_d / pair.psi
     q = model.g_tilde @ v_field
     c, rho, k_mask, eps = _scan_certificate(q, v_field, grid.dist_boundary(), h)
@@ -516,7 +503,8 @@ def verify_uniform_ergodicity(
     certificate = None
     cert_err: Exception | None = None
     min_side = float(np.min(problem.hi - problem.lo))
-    grid2, _ = _enlarged_grid(problem, h)
+    grid2 = _enlarged_grid(problem, h)
+    inner = grid2.nearest_index(grid.nodes)
     d2 = np.minimum(
         (grid2.nodes - problem.lo[None, :]).min(axis=1),
         (problem.hi[None, :] - grid2.nodes).min(axis=1),
@@ -531,7 +519,7 @@ def verify_uniform_ergodicity(
             trace_pot = policy_iteration(
                 problem, h, mode="MAX", tol=tol, grid=grid2, potential=2.0 * lam_star_min * cut
             )
-            phi_hat = trace_pot.final_pair.psi[_embed_indices(grid, grid2, h)]
+            phi_hat = trace_pot.final_pair.psi[inner]
             v_hat = (phi_hat / trace_min.final_pair.psi)[sub_idx]
             q = None
             for u in range(problem.n_actions):

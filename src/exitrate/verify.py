@@ -20,6 +20,7 @@ from . import __version__
 from ._util import THREADS_ENV, dump_json, jsonable, philox
 from .control import action_generators, enumerate_policies, hjb_residual, policy_iteration
 from .eigen import principal_eigenpair
+from .errors import ExitRateError
 from .grid import assemble_generator, build_grid, discrete_gradient
 from .mc import monte_carlo_check, simulate_killed
 from .problems import (
@@ -44,6 +45,8 @@ from .variational import MASS_TOL, TV_TOL, occupation_check
 DEFAULT_SEED = 20260814
 # Criterion 12's killed paths and time step; its confined horizon, paths and time step.
 MC_SETTINGS = {"mc_paths": 100_000, "mc_dt": 1e-4, "q_T": 50.0, "q_paths": 32, "q_dt": 1e-3}
+# Every criterion's solver tolerance.
+TOL = 1e-10
 PI_HALF = float(np.pi**2 / 2.0)
 
 
@@ -435,6 +438,9 @@ def four_representations(prob, h: float, tol: float = 1e-10) -> dict:
         log_vals.append(v_log)
         psi_vals.append(v_psi)
 
+    for form, vals in (("log-gradient", log_vals), ("eigenfunction-ratio", psi_vals)):
+        if min(vals) == 0.0:
+            raise ExitRateError(f"the {form} form vanishes at h={h:g}; the representations need a finer mesh")
     values = [log_vals[0], min(log_vals), psi_vals[0], min(psi_vals)]
     pairwise = max(
         abs(a - b) / min(abs(a), abs(b)) for i, a in enumerate(values) for b in values[i + 1 :]
@@ -510,12 +516,10 @@ _CRITERIA: list[Callable[[dict], dict]] = [
 ]
 
 
-def run_acceptance(
-    seed: int = DEFAULT_SEED, out_dir: str | None = None, tol: float = 1e-10, echo: bool = False
-) -> dict:
+def run_acceptance(seed: int = DEFAULT_SEED, out_dir: str | None = None, echo: bool = False) -> dict:
     """Run all acceptance criteria; optionally write the JSON report."""
 
-    cfg = {"seed": int(seed), **MC_SETTINGS, "tol": float(tol)}
+    cfg = {"seed": int(seed), **MC_SETTINGS, "tol": TOL}
     entries = []
     for fn in _CRITERIA:
         entry = fn(cfg)

@@ -124,6 +124,27 @@ def test_variational_solves_rect_2d_at_an_eighth(capsys):
         (["simulate", "--h", "0.125", "--x0", "0.5,x"], "--x0 0.5,x needs 1 comma-separated numbers"),
         (["solve", "--action", "5"], "--action 5 needs an action index of bm-interval in 0..0"),
         (["solve", "--action", "-1"], "--action -1 needs an action index of bm-interval in 0..0"),
+        # One or two interior nodes per axis: a gradient form is exactly 0.
+        (
+            ["representations", "--h", "0.5"],
+            "the log-gradient form vanishes at h=0.5; the representations need a finer mesh",
+        ),
+        (
+            ["representations", "--h", "0.3333333333333333"],
+            "the log-gradient form vanishes at h=0.333333; the representations need a finer mesh",
+        ),
+        (
+            ["representations", "--problem", "drift-interval", "--h", "0.5"],
+            "the log-gradient form vanishes at h=0.5; the representations need a finer mesh",
+        ),
+        (
+            ["representations", "--problem", "bang-bang", "--h", "0.6666666666666666"],
+            "the log-gradient form vanishes at h=0.666667; the representations need a finer mesh",
+        ),
+        (
+            ["representations", "--problem", "rect-2d", "--h", "0.3333333333333333"],
+            "the log-gradient form vanishes at h=0.333333; the representations need a finer mesh",
+        ),
     ],
 )
 def test_bad_spacing_step_or_path_count_is_rejected(capsys, argv, named):
@@ -289,6 +310,8 @@ def test_malformed_problem_file_fails_cleanly(tmp_path, capsys):
         ("drift-interval", "c=", "takes c"),
         ("drift-interval", "c=two", "takes c"),
         ("rect-2d", "c=1", "takes b"),
+        ("drift-interval", "c=nan", "takes c"),
+        ("drift-interval", "c=inf", "takes c"),
     ],
 )
 def test_bad_param_fails_cleanly(capsys, problem, param, accepted):
@@ -354,6 +377,7 @@ def test_report_config_records_exactly_the_flags_the_command_takes(command, tmp_
         ["verify", "--dt", "1e-4"],
         ["verify", "--T", "50"],
         ["verify", "--paths", "100000"],
+        ["verify", "--tol", "1e-9"],
     ],
 )
 def test_dropped_flags_are_rejected(argv):

@@ -25,6 +25,7 @@ from exitrate.mc import (
     _STREAM_QPROCESS,
     SHARD,
     TrajectoryEnsemble,
+    check_confined_start,
     estimate_exit_rate,
     export_ensemble_csv,
     interpolate_field,
@@ -309,6 +310,19 @@ def test_start_point_preconditions(bm_interval):
         simulate_qprocess(
             bm_interval, grid, 0, np.zeros(grid.n), [0.3], dt=1e-3, T=0.01, n_paths=8, seed=SEED
         )
+
+
+@pytest.mark.parametrize("name, x0", [("bm_interval", [0.5, 0.5]), ("rect_2d", [0.5]), ("rect_2d", [0.5, 0.5, 0.5])])
+def test_start_point_needs_one_coordinate_per_axis(request, name, x0):
+    prob = request.getfixturevalue(name)
+    grid = build_grid(prob, 0.125)
+    want = f"start point needs {prob.dim} coordinates, got {len(x0)}"
+    with pytest.raises(ValueError, match=want):
+        simulate_killed(prob, 0, x0, dt=1e-3, T=0.01, n_paths=8, seed=SEED, grid=grid)
+    with pytest.raises(ValueError, match=want):
+        check_confined_start(grid, x0)
+    with pytest.raises(ValueError, match=want):
+        simulate_qprocess(prob, grid, 0, np.zeros(grid.n), x0, dt=1e-3, T=0.01, n_paths=8, seed=SEED)
 
 
 def test_rate_estimator_demands_survivors():

@@ -10,10 +10,10 @@ from scipy.linalg import expm
 from exitrate import qprocess
 from exitrate.control import policy_iteration
 from exitrate.eigen import EigenPair, principal_eigenpair
-from exitrate.errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
+from exitrate.errors import IllConditioned, NoCertificate, NonconformingSpacing, NullVectorNotUnique, TooLargeForDense
 from exitrate.grid import assemble_generator, build_grid
 from exitrate.problems import drift_interval as drift_interval_spec
-from exitrate.problems import ProblemSpec, validate_problem
+from exitrate.problems import ProblemSpec, builtin_catalog, validate_problem
 from exitrate.qprocess import (
     DENSE_CAP,
     QProcessModel,
@@ -339,6 +339,36 @@ def test_drift_certificate_validates_on_the_transformed_chain(bm_interval):
 
     greedy = dataclasses.replace(cert, rho=100.0 * cert.rho, C=cert.C)
     assert not greedy.check(model.g_tilde)
+
+
+def _offset_embedding(grid, grid2):
+    """Reference map of the box's nodes into the enlarged lattice by whole-cell offsets."""
+    offsets = [int(round((grid.lo[k] - grid2.lo[k]) / grid.h)) for k in range(grid.d)]
+    multis = np.unravel_index(np.arange(grid.n), grid.dims)
+    return np.ravel_multi_index(tuple(multis[k] + offsets[k] for k in range(grid.d)), grid2.dims)
+
+
+def test_enlarged_box_holds_the_box_nodes_at_their_nearest_indices():
+    checked = 0
+    for spec in builtin_catalog():
+        for k in (2, 3, 4, 6, 8, 16, 32, 64, 128):
+            h = 1.0 / k
+            try:
+                grid = build_grid(spec, h)
+            except NonconformingSpacing:
+                continue
+            grid2 = qprocess._enlarged_grid(spec, h)
+            if grid2.n >= 20_000:
+                continue
+            # Whole cells on each side: max(1, round(share * side / h)) of them.
+            for j, (lo, hi) in enumerate(spec.bounds):
+                ext = max(1, int(round(qprocess.ENLARGEMENT * (hi - lo) / h))) * h
+                assert (grid2.lo[j], grid2.hi[j]) == (lo - ext, hi + ext)
+            inner = grid2.nearest_index(grid.nodes)
+            np.testing.assert_array_equal(inner, _offset_embedding(grid, grid2))
+            np.testing.assert_allclose(grid2.nodes[inner], grid.nodes, rtol=0, atol=1e-12)
+            checked += 1
+    assert checked >= 30
 
 
 def test_uniform_ergodicity_certificates_hold_for_sampled_policies(bang_bang):
