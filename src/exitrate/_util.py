@@ -27,10 +27,10 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def philox(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, stream), each taken modulo 2^64."""
-    key = np.array([seed & _MASK, stream & _MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def stream(seed: int, k: int) -> np.random.Generator:
+    """SFC64 generator seeded by (seed, k), each taken modulo 2^64: the one
+    home of every random stream in the package."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed & _MASK, k & _MASK])))
 
 
 def ordered_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> list[Any]:

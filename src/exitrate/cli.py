@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from ._util import dump_json, jsonable, philox, write_csv
+from ._util import dump_json, jsonable, stream, write_csv
 from .control import policy_iteration, export_trace_csv
 from .eigen import principal_eigenpair
 from .errors import ExitRateError
@@ -146,7 +146,7 @@ def cmd_qprocess(args: argparse.Namespace, prob, h: float):
     model = doob_transform(gen, pair)
     mu, alpha = stationary_measures(gen, model, pair)
     _, rayleigh_rel = rayleigh_identity(grid, prob, trace.psi_log, mu, pair.lam)
-    rng = philox(args.seed, 0xC11)
+    rng = stream(args.seed, 0xC11)
     _, _, sup_gap = girsanov_check(gen, pair, 1.0, rng.random((3, grid.n)).T)
     x0 = int(grid.nearest_index(np.array([x0_point]))[0])
     surv = survival_asymptotics(gen, pair, t_list=(1.0, 5.0, 10.0), x0_index=x0)
@@ -212,7 +212,6 @@ def cmd_simulate(args: argparse.Namespace, prob, h: float):
         "beta_stderr": est.stderr,
         "beta_abs_err": abs(est.rate - pair.lam),
         "occupancy_tv": tv,
-        "killed_qpaths": occ.killed,
         "projections": occ.projections,
         "girsanov": {k: gir[k] for k in ("lhs", "rhs", "overlap")},
     }

@@ -4,17 +4,20 @@ exact continuous-time chain simulation, and exit-rate estimation.
 rate, confined occupancy against mu_tilde, reweighting identity) for both
 ``exitrate simulate`` and acceptance criterion 12.
 
-Paths are advanced in shards of fixed size, one counter-based substream per
-shard (Philox keyed by master seed and shard ordinal), and shard results are
-concatenated in shard order.  Worker count therefore cannot change any output
-bit.  Exits use the plain first-step-outside rule with no bridge correction;
-the O(sqrt(dt)) bias this leaves is covered by the dt-refinement test.
+Paths are advanced in shards of fixed size, one ``stream(seed, shard)`` per
+shard, and shard results are concatenated in shard order.  Worker count
+therefore cannot change any output bit.  A killed path exits at the first
+step landing within EXIT_SHIFT * |sigma| * sqrt(dt) of a face, sigma frozen
+at the step's start (Gobet & Menozzi, Stoch. Proc. Appl. 120, 2010; Broadie,
+Glasserman & Kou, Math. Finance 7, 1997).  The shift removes the O(sqrt(dt))
+bias of the plain first-step-outside rule, which misses crossings between
+steps; like a Brownian-bridge test, the rule is first order in dt.
 
 Threads: killed shards are ``ordered_map`` tasks on up to EXITRATE_THREADS
 pool threads.  With fewer shards than workers, a helper thread per shard
 draws the shard's normals ahead from the shard's own generator
-(``_DrawAhead``); Philox normals are the same values however the draws are
-split, so the step loop gets the bits it would have drawn itself.  The
+(``_DrawAhead``); a stream's normals are the same values however the draws
+are split, so the step loop gets the bits it would have drawn itself.  The
 reweighting check runs its killed and confined sides, which use independent
 streams, as two ``ordered_map`` tasks.  EXITRATE_THREADS=1 starts no thread.
 
@@ -45,12 +48,14 @@ from .errors import TooFewSurvivors, TooLargeForDense
 from .grid import Generator, Grid, discrete_gradient, drift_at
 from .problems import _compiled
 from .qprocess import DENSE_CAP
-from ._util import line_fit, ordered_map, philox, worker_count, write_csv
+from ._util import line_fit, ordered_map, stream, worker_count, write_csv
 
 SHARD = 32768
 _STREAM_QPROCESS = 0x900000000
 _STREAM_BOOTSTRAP = 0xB00000000
 _STREAM_CTMC = 0xC00000000
+# -zeta(1/2) / sqrt(2 pi): the killed paths' face shift, in |sigma| sqrt(dt).
+EXIT_SHIFT = 0.5825971579390107
 # estimate_exit_rate: survival is fitted at this many evenly spaced times,
 # and its stderr comes from this many bootstrap resamples of the paths.
 RATE_FIT_POINTS = 41
@@ -151,7 +156,7 @@ class _DrawAhead:
     """A generator's standard normals, drawn on a helper thread in DRAW_BLOCK
     blocks into a queue at most DRAW_DEPTH blocks deep.
 
-    ``take(count)`` hands out the next count values in draw order.  A Philox
+    ``take(count)`` hands out the next count values in draw order.  An SFC64
     stream's normals do not depend on how the draws are split, so the values
     are the bits ``rng.standard_normal(count)`` would give in the same order.
     """
@@ -221,7 +226,9 @@ def simulate_killed(
     seed: int,
     grid: Optional[Grid] = None,
 ) -> TrajectoryEnsemble:
-    """Euler-Maruyama until the first step that lands outside the open box.
+    """Euler-Maruyama until the first step that lands within EXIT_SHIFT *
+    |sigma| * sqrt(dt) of a face, sigma taken at the step's start point; the
+    terminal state of an exit is the point that tripped the rule.
 
     With fewer shards than workers, each shard's normals are drawn ahead on a
     helper thread (``_DrawAhead``) while the shard steps its paths.
@@ -236,6 +243,7 @@ def simulate_killed(
     horizon = n_steps * dt
     d = len(x0)
     sq = np.sqrt(dt)
+    band = EXIT_SHIFT * sq
     drift, sigma = _coefficients(problem, policy, grid)
 
     n_shards = (n_paths + SHARD - 1) // SHARD
@@ -248,32 +256,41 @@ def simulate_killed(
         exit_times = np.full(count, horizon)
         censored = np.ones(count, dtype=bool)
         terminal = np.zeros((count, d))
-        with _normals(philox(seed, shard), ahead) as draw:
+        with _normals(stream(seed, shard), ahead) as draw:
             for k in range(n_steps):
                 if not len(alive):
                     break
                 # x + m * dt + (s * z) * sq, in place but in that order, so the
                 # bits match the out-of-place expression; x is this shard's own
-                # copy.  m and s are constant rows or (count, d) arrays.
+                # copy.  m and s are constant rows or (live, d) arrays.
                 m = drift(x)
                 s = sigma(x)
+                if k == 0 or s.ndim == 2:
+                    # The exit thresholds; a constant row's hold for the run.
+                    inner = band * np.abs(s)
+                    low, high = lo + inner, hi - inner
                 _in_place(np.add, x, m * dt)
                 z = draw(x.size).reshape(x.shape)
                 _in_place(np.multiply, z, s)
                 z *= sq
                 x += z
-                out = (x[:, 0] <= lo[0]) | (x[:, 0] >= hi[0])
+                out = (x[:, 0] <= low[..., 0]) | (x[:, 0] >= high[..., 0])
                 for axis in range(1, d):
-                    out |= (x[:, axis] <= lo[axis]) | (x[:, axis] >= hi[axis])
+                    out |= (x[:, axis] <= low[..., axis]) | (x[:, axis] >= high[..., axis])
                 if out.any():
                     rows = np.flatnonzero(out)
                     gone = alive[rows]
                     exit_times[gone] = (k + 1) * dt
                     censored[gone] = False
                     terminal[gone] = x[rows]
-                    keep = np.flatnonzero(~out)
-                    x = x.take(keep, axis=0)
-                    alive = alive[keep]
+                    # The live rows past the new live count fill the holes
+                    # below it, and the views shrink: O(exits) work.
+                    live = len(alive) - len(rows)
+                    movers = live + np.flatnonzero(~out[live:])
+                    holes = rows[: len(movers)]
+                    x[holes] = x[movers]
+                    alive[holes] = alive[movers]
+                    x, alive = x[:live], alive[:live]
         terminal[alive] = x
         return exit_times, censored, terminal
 
@@ -316,23 +333,25 @@ def estimate_exit_rate(
         ensemble.censored, RATE_FIT_POINTS, np.searchsorted(times, ensemble.exit_times, side="left")
     )
 
-    def alive(picked: np.ndarray) -> np.ndarray:
-        return n - np.cumsum(np.bincount(picked, minlength=RATE_FIT_POINTS + 1)[:RATE_FIT_POINTS])
+    def alive(tally: np.ndarray) -> np.ndarray:
+        return n - np.cumsum(tally[..., :RATE_FIT_POINTS], axis=-1)
 
     def log_survival(counts: np.ndarray) -> np.ndarray:
         return np.log(np.maximum(counts, 1) / n)
 
-    counts = alive(bins)
+    tally = np.bincount(bins, minlength=RATE_FIT_POINTS + 1)
+    counts = alive(tally)
     survivors = int(counts[0])
     if survivors < 100:
         raise TooFewSurvivors(f"only {survivors} paths survive past t={t0:g}")
 
     slope, r2 = line_fit(times, log_survival(counts))
-    rng = philox(ensemble.seed, _STREAM_BOOTSTRAP)
-    slopes = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        pick = rng.integers(0, n, n)
-        slopes[b] = np.polyfit(times, log_survival(alive(bins[pick])), 1)[0]
+    # Resampling the n paths with replacement draws the bin tallies from
+    # Multinomial(n, tally / n): one draw for every resample, then each
+    # row's least-squares slope in closed form.
+    tallies = stream(ensemble.seed, _STREAM_BOOTSTRAP).multinomial(n, tally / n, size=BOOTSTRAP_RESAMPLES)
+    centred = times - times.mean()
+    slopes = log_survival(alive(tallies)) @ centred / (centred @ centred)
     return RateEstimate(
         rate=-slope,
         stderr=float(slopes.std(ddof=1)),
@@ -458,7 +477,7 @@ def simulate_qprocess(
     drift, sigma = _coefficients(problem, policy, grid)
     n_steps = int(round(T / dt))
     horizon = n_steps * dt
-    rng = philox(seed, _STREAM_QPROCESS)
+    rng = stream(seed, _STREAM_QPROCESS)
 
     def propose(xs: np.ndarray, step, sq) -> tuple[np.ndarray, np.ndarray]:
         """The nearest node of each point and its proposal."""
@@ -579,7 +598,7 @@ def simulate_ctmc(
     rise_cum[rows, rank[rows, cols]] = cum[rows, cols]
     rise_col[rows, rank[rows, cols]] = cols
 
-    rng = philox(seed, _STREAM_CTMC)
+    rng = stream(seed, _STREAM_CTMC)
     state = np.full(n_paths, int(x0_index), dtype=np.int64)
     t = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
@@ -638,8 +657,7 @@ def mc_girsanov_check(
     side reweights the confined process by the eigenfunction and its rate.
     The sides draw from independent streams and run as two ``ordered_map``
     tasks, at once when there are two workers.
-    The killed side carries the O(sqrt(dt)) exit bias and usually needs a
-    finer dt than the confined side, whose paths stay off the boundary.
+    Both sides are first order in dt, so one dt can serve both.
     """
 
     x0 = check_confined_start(grid, x0)

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
-from ._util import line_fit, philox
+from ._util import line_fit, stream
 from .control import policy_iteration
 from .eigen import PERMC_SPEC, EigenPair, InverseIteration, check_irreducible
 from .errors import IllConditioned, NoCertificate, NullVectorNotUnique, TooLargeForDense
@@ -533,7 +533,7 @@ def verify_uniform_ergodicity(
     if certificate is None:
         raise NoCertificate(f"uniform certificate not found for any cutoff width: {cert_err}")
 
-    rng = philox(seed, 0x3E2)
+    rng = stream(seed, 0x3E2)
     per_policy = []
     slack_scale = certificate["C"] * h
     for _ in range(int(n_policies)):

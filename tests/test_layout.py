@@ -76,3 +76,34 @@ def test_every_definition_is_named_outside_itself():
         and not any(name == node.name and node not in enclosing for name, enclosing in refs)
     ]
     assert unnamed == []
+
+
+def test_every_random_stream_is_made_by_util_stream():
+    # _util.stream is the one home of the package's generators: no other
+    # code calls into numpy.random (Philox, default_rng, RandomState,
+    # Generator(...) and the rest) or imports from it under another name.
+    # Annotations such as np.random.Generator are not calls and may stay.
+    found = []
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=name)
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            elif (isinstance(node, ast.Import) and any(a.name.startswith("numpy.random") for a in node.names)) or (
+                isinstance(node, ast.ImportFrom)
+                and (node.module == "numpy.random" or (node.module == "numpy" and any(a.name == "random" for a in node.names)))
+            ):
+                found.append(f"{name}:{node.lineno} imports numpy.random")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if isinstance(owner, ast.Attribute) and owner.attr == "random" and (name, function) != ("_util.py", "stream"):
+                    found.append(f"{name}:{node.lineno} calls random.{node.func.attr}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, None)
+    assert found == []
